@@ -67,7 +67,7 @@ from repro.histograms.reallocate import (
 )
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.streams.columns import as_columns, columns_to_records, records_to_columns
+from repro.streams.columns import as_columns, columns_to_records, np, records_to_columns
 from repro.streams.model import Record, check_collect, ensure_finite
 from repro.structures.ring_buffer import RingBuffer
 
@@ -324,6 +324,29 @@ class FocusedEstimatorBase:
             self._adds_since_swap = 0
             assert self._inner is not None
             merge_split_swap(self._inner, sink=self._obs)
+
+    def _swap_cut(self, adds) -> int:
+        """Columnar twin of :meth:`_after_add`: where the next swap falls.
+
+        ``adds`` is a steady segment's boolean mask of the records that
+        reach the fine buckets (each one an ``_after_add``).  Returns the
+        offset of the record whose add runs the swap countdown out — a
+        boundary the kernel steps through the scalar machinery, so the
+        swap happens at exactly the scalar record — or ``len(adds)`` when
+        the countdown outlasts the segment (always, off the quantile
+        policy).
+        """
+        if not self._swap_enabled or self._policy != "quantile":
+            return len(adds)
+        due = self._swap_period - self._adds_since_swap
+        hits = np.flatnonzero(adds)
+        return int(hits[due - 1]) if len(hits) >= due else len(adds)
+
+    def _count_adds(self, adds: int) -> None:
+        """Advance the swap countdown past a vectorised prefix of ``adds``
+        fine-bucket inserts, none of which reaches the swap."""
+        if self._swap_enabled and self._policy == "quantile":
+            self._adds_since_swap += adds
 
     # ---------------------------------------------------- batched ingestion
 

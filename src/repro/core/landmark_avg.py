@@ -33,9 +33,6 @@ rebuilding).
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
-
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, TwoTailSummaryMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
@@ -48,24 +45,6 @@ from repro.streams.model import Record
 from repro.structures.welford import RunningMoments
 
 __all__ = ["LandmarkAvgEstimator", "STRATEGIES"]
-
-_MOVED_TO_MASS = ("band_mass", "band_bounds", "pour_uniform")
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecation shim (one release): the band-mass helpers moved to the
-    # histogram layer, where they sit with the other pure bucket functions.
-    if name in _MOVED_TO_MASS:
-        warnings.warn(
-            f"repro.core.landmark_avg.{name} has moved to repro.histograms.mass; "
-            "this alias will be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.histograms import mass
-
-        return getattr(mass, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
@@ -165,13 +144,9 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     def _columns_supported(self, collect: str) -> bool:
         # Per-record answers would need band_mass over the live summary
         # for every tuple; the vectorised path only skips them, so
-        # collect="all" stays on the scalar loop.
-        return (
-            HAVE_NUMPY
-            and collect != "all"
-            and not self._tracer.enabled
-            and self._policy != "quantile"
-        )
+        # collect="all" stays on the scalar loop, as does tracing (per-
+        # tuple answer spans).  Quantile swaps run as boundary records.
+        return HAVE_NUMPY and collect != "all" and not self._tracer.enabled
 
     def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
         """Vectorised steady-state ingestion for the landmark-AVG scope.
@@ -180,12 +155,13 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         per-record moment trace (bit-identical to ``RunningMoments.push``,
         since pushes are pure and deterministic); the CLT focus target is
         then evaluated for the whole chunk at once, and the stream is cut
-        into segments at *boundary records* — reallocation triggers and
-        non-finite inputs — which run through the real scalar machinery
-        after the staged state is synced.  Between boundaries the focus
-        region is static, so tail mass accumulates via sequential-order
-        cumulative sums and fine-bucket mass via an unbuffered scatter,
-        both bit-identical to the scalar loop.
+        into segments at *boundary records* — reallocation triggers,
+        quantile merge/split swaps and non-finite inputs — which run
+        through the real scalar machinery after the staged state is
+        synced.  Between boundaries the focus region is static, so tail
+        mass accumulates via sequential-order cumulative sums and
+        fine-bucket mass via an unbuffered scatter, both bit-identical to
+        the scalar loop.
         """
         n = len(xs)
         moments = self._moments
@@ -247,33 +223,49 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
 
         pos = 0
         scan_block = 1024
+        rescan = True
         while pos < n:
             inner = self._inner
             assert inner is not None
             il = inner.low
             ih = inner.high
-            tolerance = self._drift_tolerance * ((ih - il) / self._inner_m)
-            # First reallocation trigger at or after pos, scanned in
-            # blocks so a trigger-dense stream stays O(n) overall.
-            boundary = first_bad
-            block = pos
-            while block < first_bad:
-                stop = min(block + scan_block, first_bad)
-                trig = (np.abs(lo_a[block:stop] - il) > tolerance) | (
-                    np.abs(hi_a[block:stop] - ih) > tolerance
-                )
-                if trig.any():
-                    boundary = block + int(np.argmax(trig))
-                    break
-                block = stop
+            if rescan:
+                # First reallocation trigger at or after pos, scanned in
+                # blocks so a trigger-dense stream stays O(n) overall.
+                tolerance = self._drift_tolerance * ((ih - il) / self._inner_m)
+                trigger = first_bad
+                block = pos
+                while block < first_bad:
+                    stop = min(block + scan_block, first_bad)
+                    trig = (np.abs(lo_a[block:stop] - il) > tolerance) | (
+                        np.abs(hi_a[block:stop] - ih) > tolerance
+                    )
+                    if trig.any():
+                        trigger = block + int(np.argmax(trig))
+                        break
+                    block = stop
 
-            if boundary > pos:
-                sx = xs[pos:boundary]
-                sy = ys[pos:boundary]
+            boundary = trigger
+            if trigger > pos:
+                sx = xs[pos:trigger]
+                sy = ys[pos:trigger]
                 is_left = sx < il
                 is_right = sx > ih
+                in_focus = ~(is_left | is_right)
+                # The in-focus record that runs the quantile swap countdown
+                # out is a boundary too.  A swap moves only interior edges,
+                # so the trigger found above still stands after it.
+                cut = self._swap_cut(in_focus)
+                if pos + cut < trigger:
+                    boundary = pos + cut
+                    sx, sy, in_focus = sx[:cut], sy[:cut], in_focus[:cut]
+                    is_left, is_right = is_left[:cut], is_right[:cut]
+            rescan = boundary == trigger
+
+            if boundary > pos:
                 n_left = int(np.count_nonzero(is_left))
                 n_right = int(np.count_nonzero(is_right))
+                n_focus = boundary - pos - n_left - n_right
                 if n_left:
                     tail = self._left_tail
                     self._left_tail = Mass(
@@ -286,8 +278,7 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                         float(np.cumsum(np.concatenate(((tail.count,), np.ones(n_right))))[-1]),
                         float(np.cumsum(np.concatenate(((tail.weight,), sy[is_right])))[-1]),
                     )
-                in_focus = ~(is_left | is_right)
-                if in_focus.any():
+                if n_focus:
                     counts, weights = inner.mass_columns()
                     counts_a = np.asarray(counts)
                     weights_a = np.asarray(weights)
@@ -297,13 +288,14 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                     np.add.at(counts_a, idx, 1.0)
                     np.add.at(weights_a, idx, sy[in_focus])
                     inner.set_mass_columns(counts_a, weights_a)
+                    self._count_adds(n_focus)
 
             if boundary < n:
                 # Sync the moments to the pre-boundary trace entry, then
                 # run the boundary record through the real scalar path:
-                # its push re-derives the trace entry bit-for-bit, and
-                # reallocation (or the non-finite raise) happens exactly
-                # where the scalar loop would have put it.
+                # its push re-derives the trace entry bit-for-bit, and a
+                # reallocation, a quantile swap or the non-finite raise
+                # happens exactly where the scalar loop would have put it.
                 j = boundary - 1
                 if j >= 0:
                     moments.load(cnt_l[j], mean_l[j], m2_l[j], mn_l[j], mx_l[j])

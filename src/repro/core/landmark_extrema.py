@@ -29,7 +29,8 @@ compare, maybe shift, add, total — it also carries the kernel's hottest
 columnar path: :meth:`~LandmarkExtremaEstimator._steady_columns`
 vectorises whole chunks (membership masks, one ``searchsorted`` per
 segment, scatter-adds into staged bucket arrays) and drops to the real
-scalar machinery only at region shifts and error boundaries.
+scalar machinery only at region shifts, quantile merge/split swaps and
+error boundaries.
 """
 
 from __future__ import annotations
@@ -240,22 +241,23 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
     # ------------------------------------------------------ columnar kernel
 
     def _columns_supported(self, collect: str) -> bool:
-        # Tracing wants per-tuple answer spans, and the quantile policy
-        # counts every inner add toward the next merge/split swap; both
-        # need the scalar loop.  Obs sinks are fine: landmark lifecycle
-        # events fire only inside the scalar boundary calls.
-        return HAVE_NUMPY and not self._tracer.enabled and self._policy != "quantile"
+        # Tracing wants per-tuple answer spans, so it needs the scalar
+        # loop.  Obs sinks and the quantile policy are fine: lifecycle
+        # events and merge/split swaps fire only inside the scalar
+        # boundary calls.
+        return HAVE_NUMPY and not self._tracer.enabled
 
     def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
         # Chunk plan: precompute the running prior extremum (pure data, so
         # it stays valid across in-chunk shifts), mark every region shift
-        # and non-finite input as a hard boundary, vectorise the segments
-        # between boundaries (membership masks, searchsorted, sequential
-        # scatter-adds into staged bucket arrays — np.add.at applies
-        # element-by-element in argument order, so float accumulation
-        # matches the scalar loop bit for bit), and push each boundary
-        # record through the real scalar machinery after syncing the
-        # staged mass back into the histogram.
+        # and non-finite input as a hard boundary, cut a segment short at
+        # the record that fires the next quantile swap, vectorise the
+        # segments between boundaries (membership masks, searchsorted,
+        # sequential scatter-adds into staged bucket arrays — np.add.at
+        # applies element-by-element in argument order, so float
+        # accumulation matches the scalar loop bit for bit), and push each
+        # boundary record through the real scalar machinery after syncing
+        # the staged mass back into the histogram.
         n = len(xs)
         if n == 0:
             return
@@ -303,6 +305,10 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
             boundary = seg_end
             if odd.any():
                 boundary = pos + int(np.argmax(odd))
+            # The in-region record that runs the quantile swap countdown
+            # out is a boundary too: its scalar step swaps exactly there.
+            boundary = min(boundary, pos + self._swap_cut(in_region))
+            if boundary < seg_end:
                 sx = xs[pos:boundary]
                 sy = ys[pos:boundary]
                 in_region = in_region[: boundary - pos]
@@ -353,11 +359,13 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
                 else:
                     np.add.at(counts, idx, 1.0)
                     np.add.at(weights, idx, sy[in_region])
+                self._count_adds(len(idx))
             if boundary >= n:
                 break
             # Boundary record: sync staged mass, run the scalar step (region
-            # shift with its obs events and reallocation, or the identical
-            # StreamError/HistogramError raise), then re-stage.
+            # shift with its obs events and reallocation, a quantile swap,
+            # or the identical StreamError/HistogramError raise), then
+            # re-stage the edges the step may have moved.
             inner.set_mass_columns(counts, weights)
             record = record_at(boundary)
             if collect_all:

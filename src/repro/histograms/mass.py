@@ -46,25 +46,56 @@ def band_mass(
     contributing its overlap with the band pro-rata (tails under the
     uniformity assumption; ``hi`` may be ``math.inf`` for one-sided
     queries).
+
+    Runs once per answer, so it accumulates plain floats: the left tail's
+    share plus the right tail's, then the fine buckets' interpolated sum
+    (left to right, as :meth:`BucketArray.estimate_between` adds them).
     """
-
-    def tail_share(tail: Mass, span_lo: float, span_hi: float) -> Mass:
-        span = span_hi - span_lo
-        if span <= 0.0:
-            inside = lo <= span_lo <= hi
-            return tail if inside else ZERO_MASS
-        overlap = min(hi, span_hi) - max(lo, span_lo)
-        if overlap <= 0.0:
-            return ZERO_MASS
-        return tail.scaled(min(overlap / span, 1.0))
-
-    total = tail_share(left_tail, xmin, inner.low)
-    total += tail_share(right_tail, inner.high, xmax)
-    clipped_lo = max(lo, inner.low)
-    clipped_hi = min(hi, inner.high)
+    edges = inner._edges
+    low = edges[0]
+    high = edges[-1]
+    left_c = left_w = right_c = right_w = 0.0
+    span = low - xmin
+    if span <= 0.0:
+        if lo <= xmin <= hi:
+            left_c, left_w = left_tail
+    else:
+        overlap = min(hi, low) - max(lo, xmin)
+        if overlap > 0.0:
+            share = min(overlap / span, 1.0)
+            left_c = left_tail.count * share
+            left_w = left_tail.weight * share
+    span = xmax - high
+    if span <= 0.0:
+        if lo <= high <= hi:
+            right_c, right_w = right_tail
+    else:
+        overlap = min(hi, xmax) - max(lo, high)
+        if overlap > 0.0:
+            share = min(overlap / span, 1.0)
+            right_c = right_tail.count * share
+            right_w = right_tail.weight * share
+    count = left_c + right_c
+    weight = left_w + right_w
+    clipped_lo = max(lo, low)
+    clipped_hi = min(hi, high)
     if clipped_hi > clipped_lo:
-        total += inner.estimate_between(clipped_lo, clipped_hi)
-    return total
+        inner_count = inner_weight = 0.0
+        left = low
+        for right, c, w in zip(edges[1:], inner._counts, inner._weights):
+            # min(clipped_hi, right) - max(clipped_lo, left), spelled out
+            # (same ties and NaN handling, without two calls per bucket).
+            overlap = (right if right < clipped_hi else clipped_hi) - (
+                left if left > clipped_lo else clipped_lo
+            )
+            if overlap > 0.0:
+                fraction = overlap / (right - left)
+                inner_count += c * fraction
+                inner_weight += w * fraction
+            left = right
+        count += inner_count
+        weight += inner_weight
+    return Mass(count, weight)
 
 
 def band_bounds(
@@ -83,38 +114,46 @@ def band_bounds(
     a partially-overlapped bucket, the lower bound discards it entirely and
     the upper bound includes it entirely.  Applied to every partially
     overlapped region: the straddling fine buckets and the two coarse
-    tails.
+    tails.  Accumulated as plain floats in a fixed order: left tail, right
+    tail, then the fine buckets left to right.
     """
-
-    def tail_bounds(tail: Mass, span_lo: float, span_hi: float) -> tuple[Mass, Mass]:
+    edges = inner._edges
+    lower_c = lower_w = upper_c = upper_w = 0.0
+    for (tail_c, tail_w), span_lo, span_hi in (
+        (left_tail, xmin, edges[0]),
+        (right_tail, edges[-1], xmax),
+    ):
         span = span_hi - span_lo
         if span <= 0.0:
-            inside = lo <= span_lo <= hi
-            return (tail, tail) if inside else (ZERO_MASS, ZERO_MASS)
-        overlap = min(hi, span_hi) - max(lo, span_lo)
-        if overlap <= 0.0:
-            return (ZERO_MASS, ZERO_MASS)
-        if overlap >= span:
-            return (tail, tail)
-        return (ZERO_MASS, tail)
+            if not lo <= span_lo <= hi:
+                continue
+            whole = True
+        else:
+            overlap = min(hi, span_hi) - max(lo, span_lo)
+            if overlap <= 0.0:
+                continue
+            whole = overlap >= span
+        upper_c += tail_c
+        upper_w += tail_w
+        if whole:
+            lower_c += tail_c
+            lower_w += tail_w
 
-    lower = ZERO_MASS
-    upper = ZERO_MASS
-    for tail, span in ((left_tail, (xmin, inner.low)), (right_tail, (inner.high, xmax))):
-        tail_lo, tail_hi = tail_bounds(tail, *span)
-        lower += tail_lo
-        upper += tail_hi
-
-    edges = inner.edges
-    for i, (left, right) in enumerate(zip(edges, edges[1:])):
-        overlap = min(hi, right) - max(lo, left)
-        if overlap <= 0.0:
-            continue
-        bucket = inner.bucket_mass(i)
-        upper += bucket
-        if overlap >= right - left:
-            lower += bucket
-    return (lower.clamped(), upper.clamped())
+    left = edges[0]
+    for right, c, w in zip(edges[1:], inner._counts, inner._weights):
+        # min(hi, right) - max(lo, left), spelled out as in band_mass.
+        overlap = (right if right < hi else hi) - (left if left > lo else lo)
+        if overlap > 0.0:
+            upper_c += c
+            upper_w += w
+            if overlap >= right - left:
+                lower_c += c
+                lower_w += w
+        left = right
+    return (
+        Mass(max(lower_c, 0.0), max(lower_w, 0.0)),
+        Mass(max(upper_c, 0.0), max(upper_w, 0.0)),
+    )
 
 
 def pour_uniform(histogram: BucketArray, lo: float, hi: float, mass: Mass) -> None:

@@ -8,12 +8,14 @@ the same partial state) when a chunk holds a record the scalar path
 would reject.  These tests pin that equivalence for all five estimator
 families across batch sizes 1, 7 and 4096, through mid-batch
 reallocations, non-finite records, and the stdlib-``array`` fallback
-used when numpy is unavailable.
+used when numpy is unavailable — and, for the landmark kernels, under
+the quantile policy, whose merge/split swaps run as boundary records.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.core.query import CorrelatedQuery
 from repro.core.time_sliding import TimeSlidingEstimator
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ConfigurationError, StreamError
+from repro.obs.sink import RecordingSink
 from repro.streams.model import Record
 
 SIZE = 1200
@@ -68,7 +71,7 @@ def _state_fingerprint(estimator) -> dict:
     if inner is not None:
         state["edges"] = list(inner.edges)
         state["mass"] = inner.mass_columns()
-    for name in ("_tail", "_left", "_right"):
+    for name in ("_tail", "_left", "_right", "_left_tail", "_right_tail"):
         mass = getattr(estimator, name, None)
         if mass is not None:
             state[name] = tuple(mass)
@@ -90,6 +93,7 @@ def _state_fingerprint(estimator) -> dict:
     if ring is not None:
         state["ring"] = [(cell[0], cell[1]) for cell in ring]
     state["ssr"] = getattr(estimator, "_steps_since_rebuild", None)
+    state["adds_since_swap"] = getattr(estimator, "_adds_since_swap", None)
     return state
 
 
@@ -277,3 +281,177 @@ def test_time_sliding_update_many_timed_collect_modes(stream):
         batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
         assert batched.update_many_timed(timed, collect=collect) == want
         assert batched.estimate() == expected[-1]
+
+
+# --------------------------------------------------------- quantile policy
+#
+# Under the quantile policy every fine-bucket insert counts toward the
+# next merge/split swap.  The landmark kernels cut their vectorised
+# segments at the record that runs the countdown out and step it through
+# the scalar machinery, so swaps land on exactly the scalar record.
+
+QUANTILE_METHODS = ("wholesale-quantile", "piecemeal-quantile")
+QUANTILE_BATCH_SIZES = (1, 7, 32, 4096)
+LANDMARK_FAMILIES = ("landmark_extrema", "landmark_avg")
+
+
+def _quantile_stream(family: str, n: int = 1500) -> list[Record]:
+    """A stream that keeps most records in the fine buckets.
+
+    Extrema: a slowly falling floor scaled by up to 3x, so nearly every
+    record lands inside ``[min, 100 * min]`` and new minima (region
+    shifts) keep arriving.  AVG: 70% of the records sit on the mean
+    (inside the CLT focus) and 30% spread wide, so the narrowing focus
+    keeps triggering reallocations.
+    """
+    rng = random.Random(3)
+    if family == "landmark_extrema":
+        return [
+            Record((1000.0 - 0.5 * i) * rng.uniform(0.9, 3.0), rng.uniform(0.5, 2.0))
+            for i in range(n)
+        ]
+    return [
+        Record(
+            100.0
+            + (rng.gauss(0.0, 0.01) if rng.random() < 0.7 else rng.gauss(0.0, 10.0)),
+            rng.uniform(0.5, 2.0),
+        )
+        for _ in range(n)
+    ]
+
+
+def _build_quantile(family, method, swap_period, sink=None):
+    return build_estimator(
+        FAMILY_QUERIES[family], method, num_buckets=10, swap_period=swap_period, sink=sink
+    )
+
+
+def _events(sink) -> list[tuple[str, dict]]:
+    return [(event.name, event.fields) for event in sink.events]
+
+
+def _scalar_run(family, method, swap_period, records):
+    """Scalar replay: outputs, the estimator, its sink, and per-record event names."""
+    sink = RecordingSink()
+    estimator = _build_quantile(family, method, swap_period, sink)
+    outputs: list[float] = []
+    names: list[set[str]] = []
+    for record in records:
+        seen = len(sink.events)
+        outputs.append(estimator.update(record))
+        names.append({event.name for event in sink.events[seen:]})
+    return outputs, estimator, sink, names
+
+
+def _columnar_run(family, method, swap_period, records, cuts, collect="none"):
+    """Feed ``records`` through update_columns, split at the ``cuts`` offsets."""
+    sink = RecordingSink()
+    estimator = _build_quantile(family, method, swap_period, sink)
+    outputs: list[float] = []
+    bounds = [0, *cuts, len(records)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = records[lo:hi]
+        outputs.extend(
+            estimator.update_columns(
+                [r.x for r in chunk], [r.y for r in chunk], collect=collect
+            )
+        )
+    return outputs, estimator, sink
+
+
+def _assert_same(batched, batched_sink, single, single_sink):
+    assert _state_fingerprint(batched) == _state_fingerprint(single)
+    assert _events(batched_sink) == _events(single_sink)
+
+
+@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("method", QUANTILE_METHODS)
+def test_untraced_quantile_estimators_take_the_columnar_path(family, method):
+    estimator = _build_quantile(family, method, 32, RecordingSink())
+    assert estimator._columns_supported("none")
+
+
+@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("method", QUANTILE_METHODS)
+@pytest.mark.parametrize("swap_period", [3, 32])
+@pytest.mark.parametrize("batch_size", QUANTILE_BATCH_SIZES)
+@pytest.mark.parametrize("collect", ["all", "none"])
+def test_quantile_columns_match_scalar(family, method, swap_period, batch_size, collect):
+    """Outputs, edges, masses, the swap countdown and every event match."""
+    records = _quantile_stream(family)
+    expected, single, single_sink, names = _scalar_run(family, method, swap_period, records)
+    assert sum("hist.swap" in n for n in names) >= 30
+    cuts = list(range(batch_size, len(records), batch_size))
+    got, batched, batched_sink = _columnar_run(
+        family, method, swap_period, records, cuts, collect
+    )
+    if collect == "all":
+        assert got == expected
+    assert batched.estimate() == expected[-1]
+    _assert_same(batched, batched_sink, single, single_sink)
+
+
+def _first_swap_index(names, start: int = 0, also: str | None = None) -> int:
+    for i, n in enumerate(names[start:], start):
+        if "hist.swap" in n and (also is None or also in n):
+            return i
+    raise AssertionError("stream has no such swap record")
+
+
+@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("method", QUANTILE_METHODS)
+def test_chunk_ending_on_the_swap_record(family, method):
+    """A chunk whose last record fires the swap leaves a fresh countdown."""
+    records = _quantile_stream(family, 800)
+    _, _, _, names = _scalar_run(family, method, 3, records)
+    k = _first_swap_index(names, start=200)
+    _, single, single_sink, _ = _scalar_run(family, method, 3, records[: k + 1])
+    _, batched, batched_sink = _columnar_run(family, method, 3, records[: k + 1], [150])
+    assert batched._adds_since_swap == 0
+    _assert_same(batched, batched_sink, single, single_sink)
+    # ... and the next chunk picks the countdown up from zero.
+    _, single, single_sink, _ = _scalar_run(family, method, 3, records)
+    _, batched, batched_sink = _columnar_run(family, method, 3, records, [150, k + 1])
+    _assert_same(batched, batched_sink, single, single_sink)
+
+
+@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("method", QUANTILE_METHODS)
+def test_nan_right_after_a_swap(family, method):
+    """A NaN straight after a swap raises with the post-swap scalar state."""
+    records = _quantile_stream(family, 800)
+    _, _, _, names = _scalar_run(family, method, 3, records)
+    k = _first_swap_index(names, start=300)
+    bad = records[: k + 1] + [Record(math.nan, 1.0)] + records[k + 1 :]
+    single_sink = RecordingSink()
+    single = _build_quantile(family, method, 3, single_sink)
+    with pytest.raises(StreamError) as scalar_exc:
+        for record in bad:
+            single.update(record)
+    batched_sink = RecordingSink()
+    batched = _build_quantile(family, method, 3, batched_sink)
+    with pytest.raises(StreamError) as caught:
+        batched.update_columns([r.x for r in bad], [r.y for r in bad], collect="none")
+    assert str(caught.value) == str(scalar_exc.value)
+    _assert_same(batched, batched_sink, single, single_sink)
+
+
+@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("method", QUANTILE_METHODS)
+@pytest.mark.parametrize("where", ["mid_chunk", "chunk_start", "chunk_end"])
+@pytest.mark.parametrize("collect", ["all", "none"])
+def test_swap_on_a_region_shift_record(family, method, where, collect):
+    """The swap record is also an LE region shift or an LA reallocation.
+
+    Both run in the one scalar step — shift/reallocate, then the add that
+    runs the countdown out — and the kernel must re-stage the edges both
+    moved before it resumes vectorising.
+    """
+    records = _quantile_stream(family)
+    expected, single, single_sink, names = _scalar_run(family, method, 3, records)
+    k = _first_swap_index(names, start=100, also="region.shift")
+    cuts = {"mid_chunk": [k - 5, k + 5], "chunk_start": [k], "chunk_end": [k + 1]}[where]
+    got, batched, batched_sink = _columnar_run(family, method, 3, records, cuts, collect)
+    if collect == "all":
+        assert got == expected
+    _assert_same(batched, batched_sink, single, single_sink)

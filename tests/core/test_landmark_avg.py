@@ -163,24 +163,3 @@ class TestAccuracy:
         for r in make_records(xs):
             out = est.update(r)
             assert np.isfinite(out) and out >= 0.0
-
-
-class TestMovedHelperShim:
-    """The band-mass helpers moved to repro.histograms.mass; the old
-    module path keeps one release of deprecated aliases."""
-
-    @pytest.mark.parametrize("name", ["band_mass", "band_bounds", "pour_uniform"])
-    def test_alias_warns_and_resolves(self, name):
-        import repro.core.landmark_avg as old
-        from repro.histograms import mass
-
-        # Served by module __getattr__ on every access (never cached), so
-        # the warning fires each time.
-        with pytest.warns(DeprecationWarning, match="repro.histograms.mass"):
-            assert getattr(old, name) is getattr(mass, name)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.landmark_avg as old
-
-        with pytest.raises(AttributeError):
-            old.no_such_helper

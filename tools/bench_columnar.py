@@ -3,7 +3,9 @@
 
 For each of the five estimator families, the same stream is replayed
 three ways and timed with the shared interleaved-block harness
-(:mod:`benchlib`):
+(:mod:`benchlib`), under ``piecemeal-uniform`` and — for the two landmark
+families, whose kernels vectorise the quantile policy too — again under
+``piecemeal-quantile``:
 
 * ``scalar``    — the per-tuple ``update`` loop, one estimate per tuple;
 * ``batch_all`` — ``update_many(..., collect="all")``: the batched entry
@@ -26,7 +28,9 @@ The ``landmark_extrema`` report also gates the removal of the old
 hand-inlined ``_update_batch`` override: the shared kernel path must
 meet or beat the 4.77x that override measured before it was deleted.
 
-Writes ``benchmarks/BENCH_columnar_<family>.json`` per family.
+Writes ``benchmarks/BENCH_columnar_<family>.json`` per family: the
+headline fields describe ``piecemeal-uniform``, and ``other_methods``
+holds one row (timings and speedups) per extra method.
 
 Usage::
 
@@ -67,11 +71,13 @@ FAMILIES = {
         "query": CorrelatedQuery("count", "min", epsilon=99.0),
         "vectorized": True,
         "note": "fully vectorised steady-state kernel",
+        "other_methods": ("piecemeal-quantile",),
     },
     "landmark_avg": {
         "query": CorrelatedQuery("count", "avg"),
         "vectorized": True,
         "note": "vectorised CLT target over a python Welford trace",
+        "other_methods": ("piecemeal-quantile",),
     },
     "sliding_extrema": {
         "query": CorrelatedQuery("count", "min", epsilon=99.0, window=WINDOW),
@@ -97,12 +103,12 @@ FAMILIES = {
 }
 
 
-def _timed_workloads(query, records):
+def _timed_workloads(query, records, method=METHOD):
     """The three variants for a count/tuple-window family."""
     xs, ys = records_to_columns(records)
 
     def scalar():
-        estimator = build_estimator(query, METHOD, num_buckets=NUM_BUCKETS)
+        estimator = build_estimator(query, method, num_buckets=NUM_BUCKETS)
         update = estimator.update
 
         def run():
@@ -112,11 +118,11 @@ def _timed_workloads(query, records):
         return run
 
     def batch_all():
-        estimator = build_estimator(query, METHOD, num_buckets=NUM_BUCKETS)
+        estimator = build_estimator(query, method, num_buckets=NUM_BUCKETS)
         return lambda: estimator.update_many(records, collect="all")
 
     def columnar():
-        estimator = build_estimator(query, METHOD, num_buckets=NUM_BUCKETS)
+        estimator = build_estimator(query, method, num_buckets=NUM_BUCKETS)
         return lambda: estimator.update_columns(xs, ys, collect="none")
 
     return {"scalar": scalar, "batch_all": batch_all, "columnar": columnar}
@@ -150,6 +156,26 @@ def _timed_workloads_timed(query, records):
     return {"scalar": scalar, "batch_all": batch_all, "columnar": columnar}
 
 
+def _time_workloads(workloads, tuples: int, rounds: int) -> dict:
+    """Interleaved timings of the three variants, plus their speedups."""
+    blocks = {
+        name: (lambda k, w=workload: [benchlib.one_round(w) for _ in range(k)])
+        for name, workload in workloads.items()
+    }
+    samples = benchlib.time_variants(blocks, rounds)
+    results = {
+        name: benchlib.summarize(times, tuples) for name, times in samples.items()
+    }
+    return {
+        "results_seconds": results,
+        "speedup": round(results["scalar"]["median"] / results["columnar"]["median"], 2),
+        "speedup_batch_all": round(
+            results["scalar"]["median"] / results["batch_all"]["median"], 2
+        ),
+        "tuples_per_second": results["columnar"]["tuples_per_second"],
+    }
+
+
 def bench_family(family: str, size: int, rounds: int) -> dict:
     spec = FAMILIES[family]
     query = spec["query"]
@@ -158,19 +184,8 @@ def bench_family(family: str, size: int, rounds: int) -> dict:
         workloads = _timed_workloads_timed(query, records)
     else:
         workloads = _timed_workloads(query, records)
-
-    blocks = {
-        name: (lambda k, w=workload: [benchlib.one_round(w) for _ in range(k)])
-        for name, workload in workloads.items()
-    }
-    samples = benchlib.time_variants(blocks, rounds)
-    results = {
-        name: benchlib.summarize(times, len(records))
-        for name, times in samples.items()
-    }
-
-    speedup = results["scalar"]["median"] / results["columnar"]["median"]
-    speedup_batch_all = results["scalar"]["median"] / results["batch_all"]["median"]
+    row = _time_workloads(workloads, len(records), rounds)
+    speedup = row["speedup"]
     report = {
         "benchmark": "tools/bench_columnar.py",
         "family": family,
@@ -179,6 +194,11 @@ def bench_family(family: str, size: int, rounds: int) -> dict:
             f"{len(records)} USAGE tuples ({query.describe()}, {METHOD}, "
             f"m={NUM_BUCKETS}): scalar update loop vs update_many(collect="
             f"'all') vs update_columns(collect='none').  {spec['note']}."
+            + (
+                f"  other_methods repeats it under {', '.join(spec['other_methods'])}."
+                if "other_methods" in spec
+                else ""
+            )
         ),
         "command": (
             f"PYTHONPATH=src python tools/bench_columnar.py --families {family} "
@@ -198,16 +218,21 @@ def bench_family(family: str, size: int, rounds: int) -> dict:
             "num_buckets": NUM_BUCKETS,
             "vectorized_kernel": spec["vectorized"],
         },
-        "results_seconds": results,
-        "speedup": round(speedup, 2),
-        "speedup_batch_all": round(speedup_batch_all, 2),
-        "tuples_per_second": results["columnar"]["tuples_per_second"],
+        **row,
         "meets_10x": speedup >= 10.0,
     }
+    others = spec.get("other_methods", ())
+    if others:
+        report["other_methods"] = {
+            method: _time_workloads(
+                _timed_workloads(query, records, method), len(records), rounds
+            )
+            for method in others
+        }
     if family == "landmark_extrema":
         report["replaces_inlined_update_batch"] = {
             "old_speedup": INLINED_BATCH_SPEEDUP,
-            "new_speedup": round(speedup, 2),
+            "new_speedup": speedup,
             "ok": speedup >= INLINED_BATCH_SPEEDUP,
         }
     return report
@@ -247,6 +272,12 @@ def main(argv: list[str] | None = None) -> int:
             f"batch_all {report['speedup_batch_all']:.1f}x"
             + (" [10x: ok]" if report["meets_10x"] else "")
         )
+        for method, row in report.get("other_methods", {}).items():
+            print(
+                f"{method:>17}: columnar {row['speedup']:.1f}x scalar "
+                f"({row['tuples_per_second']:,.0f} tuples/s), "
+                f"batch_all {row['speedup_batch_all']:.1f}x"
+            )
         print(f"wrote {path}")
     if failed_gate:
         print(

@@ -31,7 +31,7 @@ def _headline(report: dict) -> dict[str, object]:
     report's top-level scalars so new benchmarks surface without edits here.
     """
     if "family" in report:
-        return {
+        headline = {
             "family": report["family"],
             "speedup": report.get("speedup"),
             "speedup_batch_all": report.get("speedup_batch_all"),
@@ -39,6 +39,11 @@ def _headline(report: dict) -> dict[str, object]:
             "meets_10x": report.get("meets_10x"),
             "cpu_count": report.get("machine", {}).get("cpu_count"),
         }
+        if "other_methods" in report:
+            headline["speedup_other_methods"] = {
+                method: row["speedup"] for method, row in report["other_methods"].items()
+            }
+        return headline
     if "speedup" in report:
         return {"speedup": report["speedup"]}
     if "distinct_keys" in report:
