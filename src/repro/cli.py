@@ -517,9 +517,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             query, method, num_buckets=args.buckets,
             time_window=args.time_window, sink=sink,
         )
-        timed = [(float(i), r) for i, r in enumerate(records, start=1)]
-        outputs = estimator.update_many_timed(timed)
-        exact = exact_time_series(timed, query, args.time_window)
+        times = [float(i) for i in range(1, len(records) + 1)]
+        outputs = estimator.update_columns(
+            [r.x for r in records], [r.y for r in records], times=times
+        )
+        exact = exact_time_series(list(zip(times, records)), query, args.time_window)
     else:
         server, attach = _serve_context(args)
         tracer = None

@@ -28,9 +28,9 @@ strategy, and partitioning policy — but they all run the same lifecycle:
 :class:`FocusedEstimatorBase` owns that skeleton — warmup buffering,
 histogram build/rebuild, reallocation scheduling, quantile merge/split
 maintenance, obs event emission, ``obs_state()``/``estimate_bounds()``
-plumbing, and the batched ``update_many`` ingestion path — while the five
-estimator subclasses override only the small policy hooks where they
-genuinely differ (``_target_interval``, ``_route_add``/``_route_remove``,
+plumbing, and the kernel hand-off inside the shared batch loop — while
+the five estimator subclasses override only the small policy hooks where
+they genuinely differ (``_target_interval``, ``_route_add``/``_route_remove``,
 ``_should_reallocate``, partitioning sources).  Adding a new scope or
 threshold policy is one subclass, not a sixth parallel module.
 
@@ -52,7 +52,6 @@ recorded before the merge and fails on any drift, down to the last bit.
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterable
 
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
@@ -67,8 +66,8 @@ from repro.histograms.reallocate import (
 )
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.streams.columns import as_columns, columns_to_records, np, records_to_columns
-from repro.streams.model import Record, check_collect, ensure_finite
+from repro.streams.columns import np, records_to_columns
+from repro.streams.model import BatchedIngest, Record, ensure_finite
 from repro.structures.ring_buffer import RingBuffer
 
 STRATEGIES = ("wholesale", "piecemeal")
@@ -79,7 +78,7 @@ STRATEGIES = ("wholesale", "piecemeal")
 COLUMN_CHUNK = 16_384
 
 
-class FocusedEstimatorBase:
+class FocusedEstimatorBase(BatchedIngest):
     """Template-method kernel for focused-histogram estimators.
 
     Subclasses configure the skeleton through class attributes and
@@ -97,8 +96,6 @@ class FocusedEstimatorBase:
     _swap_enabled = True
     #: Whether obs_state() reports a warmup_buffer gauge.
     _warmup_gauge = True
-    #: Whether update() ingests plain records (False: (time, record) pairs).
-    _timestamped = False
 
     # ------------------------------------------------------- construction
 
@@ -350,128 +347,43 @@ class FocusedEstimatorBase:
 
     # ---------------------------------------------------- batched ingestion
 
-    def update_many(
-        self, records: Iterable[Record], collect: str = "all"
-    ) -> list[float]:
-        """Consume a chunk of tuples; return outputs per ``collect``.
+    def _feed_rows(self, rows, times, outputs: list[float], collect: str) -> None:
+        """The kernel's hand-off inside :class:`BatchedIngest`'s batch loop.
 
-        ``collect="all"`` (the default) is exactly equivalent to
-        ``[self.update(r) for r in records]`` — the parity suite enforces
-        it.  ``"last"`` returns only the final estimate (``[]`` for an
-        empty chunk) and ``"none"`` returns ``[]``; both leave the summary
-        in the identical post-chunk state while skipping per-record answer
-        extraction.
-
-        When a family kernel supports the configuration (numpy present,
-        tracing off, and whatever the family's own gates require), the
-        steady-state remainder of the chunk is staged as x/y columns and
-        ingested through :meth:`_steady_columns`; otherwise it falls back
-        to the hoisted scalar loop.
+        Without a family kernel for this configuration (numpy present,
+        tracing off, and whatever the family's own gates require — none
+        of which change mid-stream), every row takes the scalar loop.
+        With one, warmup rows step through the scalar path one by one and
+        the rest reach :meth:`_steady_columns` as x/y columns in
+        ``COLUMN_CHUNK`` slices.  Columns are staged only for the slices
+        of a record list, and boundary records read the caller's rows.
+        ``collect="all"`` output is exactly ``[self.update(r) for r in
+        rows]``; the parity suites enforce it.
         """
-        if self._timestamped:
-            raise ConfigurationError(
-                "this estimator ingests (time, record) pairs; use update_many_timed()"
-            )
-        check_collect(collect)
-        records = [r if isinstance(r, Record) else Record(*r) for r in records]
-        outputs: list[float] = []
+        if not self._columns_supported(collect):
+            super()._feed_rows(rows, times, outputs, collect)
+            return
+        n = len(rows)
         i = 0
-        n = len(records)
-        collect_all = collect == "all"
         while i < n and self._buffer is not None:
-            if collect_all:
-                outputs.append(self.update(records[i]))
+            if collect == "all":
+                outputs.append(self.update(rows[i]))
             else:
-                self._absorb(records[i])
+                self._absorb(rows[i])
             i += 1
-        if i < n:
-            if self._columns_supported(collect):
-                for lo in range(i, n, COLUMN_CHUNK):
-                    chunk = records[lo : lo + COLUMN_CHUNK]
-                    xs, ys = records_to_columns(chunk)
-                    self._steady_columns(xs, ys, chunk.__getitem__, outputs, collect)
-            elif collect_all:
-                self._update_batch(records, i, outputs)
-            else:
-                absorb = self._absorb
-                for j in range(i, n):
-                    absorb(records[j])
-        if collect_all:
-            return outputs
-        if collect == "last" and n:
-            return [self.estimate()]
-        return []
-
-    def update_columns(
-        self,
-        xs: Iterable[float],
-        ys: Iterable[float] | None = None,
-        collect: str = "all",
-    ) -> list[float]:
-        """Consume a columnar chunk: parallel arrays of x and y values.
-
-        Semantically ``update_many([Record(x, y) for x, y in zip(xs, ys)],
-        collect)`` with ``ys=None`` meaning y=1.0 throughout, but the
-        steady-state portion feeds the columns straight into the family
-        kernel without materialising records (records are built lazily
-        only for warmup tuples and kernel boundary events).
-        """
-        if self._timestamped:
-            raise ConfigurationError(
-                "this estimator ingests (time, record) pairs; use "
-                "update_columns_timed()"
-            )
-        check_collect(collect)
-        x_col, y_col = as_columns(xs, ys)
-        n = len(x_col)
-        outputs: list[float] = []
-        i = 0
-        collect_all = collect == "all"
-        while i < n and self._buffer is not None:
-            record = Record(float(x_col[i]), float(y_col[i]))
-            if collect_all:
-                outputs.append(self.update(record))
-            else:
-                self._absorb(record)
-            i += 1
-        if i < n:
-            if self._columns_supported(collect):
-                for lo in range(i, n, COLUMN_CHUNK):
-                    sx = x_col[lo : lo + COLUMN_CHUNK]
-                    sy = y_col[lo : lo + COLUMN_CHUNK]
-
-                    def record_at(j: int, sx=sx, sy=sy) -> Record:
-                        return Record(float(sx[j]), float(sy[j]))
-
-                    self._steady_columns(sx, sy, record_at, outputs, collect)
-            else:
-                remaining = columns_to_records(x_col[i:], y_col[i:])
-                if collect_all:
-                    self._update_batch(remaining, 0, outputs)
-                else:
-                    absorb = self._absorb
-                    for record in remaining:
-                        absorb(record)
-        if collect_all:
-            return outputs
-        if collect == "last" and n:
-            return [self.estimate()]
-        return []
-
-    def _update_batch(self, records: list[Record], start: int, outputs: list[float]) -> None:
-        """Steady-state batch loop: the scalar fallback hot path."""
-        update = self.update
-        append = outputs.append
-        for record in records[start:] if start else records:
-            append(update(record))
+        for lo in range(i, n, COLUMN_CHUNK):
+            chunk = rows[lo : lo + COLUMN_CHUNK] if lo or n > COLUMN_CHUNK else rows
+            xs, ys = records_to_columns(chunk)
+            self._steady_columns(xs, ys, chunk.__getitem__, outputs, collect)
 
     def _columns_supported(self, collect: str) -> bool:
-        """Whether :meth:`_steady_columns` can take chunks right now.
+        """Whether :meth:`_steady_columns` can take this batch's chunks.
 
         Family kernels override this with their own gates (numpy
         availability, tracing off, bucket policy, obs constraints,
-        supported ``collect`` modes).  The base class has no vectorised
-        kernel, so the answer is no.
+        supported ``collect`` modes) — configuration only, never stream
+        state, so one answer holds for a whole batch.  The base class has
+        no vectorised kernel, so the answer is no.
         """
         return False
 

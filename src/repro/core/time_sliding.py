@@ -24,15 +24,16 @@ Differences from the count-window estimators:
 The summary shape, routing, reallocation, and answers come from
 :class:`~repro.core.focused.TwoTailSummaryMixin`; the timestamped drain
 replaces the kernel's warmup/ring plumbing, so this class keeps its own
-``update(time, record)`` entry point and ingests batches via
-:meth:`update_many_timed`.
+``update(time, record)`` entry point.  Batches go through the shared
+loop as ``update_columns(xs, ys, times=...)``: the time axis is one more
+input column, and the class supplies only the per-row step
+(:meth:`_absorb_timed`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable
 
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, TwoTailSummaryMixin
 from repro.core.query import CorrelatedQuery
@@ -40,8 +41,7 @@ from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.partition import uniform_boundaries
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
-from repro.streams.columns import as_columns
-from repro.streams.model import Record, check_collect, ensure_finite
+from repro.streams.model import Record, ensure_finite
 from repro.structures.time_intervals import TimeIntervalExtremaTracker
 from repro.structures.welford import RunningMoments
 
@@ -87,7 +87,8 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     _swap_enabled = False
     #: No warmup buffer (the live deque plays that role) …
     _warmup_gauge = False
-    #: … and tuples arrive as (time, record) pairs, not bare records.
+    #: … and every row carries a timestamp: ``update(time, record)``,
+    #: ``update_columns(..., times=)``.
     _timestamped = True
 
     def __init__(
@@ -272,58 +273,6 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             self._reallocate(lo, hi)
         if cell[2] is None:
             cell[2] = self._route_add(record)
-
-    def update_many_timed(
-        self, timed: Iterable[tuple[float, Record]], collect: str = "all"
-    ) -> list[float]:
-        """Consume a chunk of ``(time, record)`` pairs.
-
-        The timestamped step is dominated by the variable-length expiry
-        drain, so there is no vectorised fast path — this is the exact
-        batch transcription of :meth:`update` (``update_many`` on this
-        class raises, pointing here).  ``collect`` follows the kernel
-        convention: ``"all"`` returns one estimate per pair, ``"last"``
-        just the final estimate, ``"none"`` skips estimation entirely.
-        """
-        check_collect(collect)
-        absorb = self._absorb_timed
-        if collect == "all":
-            estimate = self.estimate
-            outputs = []
-            for time, record in timed:
-                absorb(time, record)
-                outputs.append(estimate())
-            return outputs
-        consumed = False
-        for time, record in timed:
-            absorb(time, record)
-            consumed = True
-        if collect == "last" and consumed:
-            return [self.estimate()]
-        return []
-
-    def update_columns_timed(
-        self, times, xs, ys=None, collect: str = "all"
-    ) -> list[float]:
-        """Columnar timed entry: parallel ``times``/``xs``/``ys`` columns.
-
-        Accepts sequences or numpy arrays; ``ys`` defaults to unit
-        weights.  Tuples are materialised lazily from the columns and run
-        through the scalar timestamped step — the expiry drain's
-        variable length rules out the count-window vectorised kernels,
-        but the columnar signature keeps the transport symmetric with
-        :meth:`~repro.streams.model.StreamAlgorithm.update_columns` so
-        sharded/batched pipelines can hand every family the same arrays.
-        """
-        check_collect(collect)
-        col_x, col_y = as_columns(xs, ys)
-        t_list = times.tolist() if hasattr(times, "tolist") else [float(t) for t in times]
-        if len(t_list) != len(col_x):
-            raise ConfigurationError(
-                f"times and xs have mismatched lengths: {len(t_list)} != {len(col_x)}"
-            )
-        pairs = zip(t_list, map(Record, col_x.tolist(), col_y.tolist()))
-        return self.update_many_timed(pairs, collect=collect)
 
     def _extra_gauges(self) -> dict[str, float]:
         gauges = super()._extra_gauges()

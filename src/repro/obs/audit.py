@@ -49,7 +49,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sink import NULL_SINK, ObsSink, RecordingSink
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.streams.model import Record, StreamAlgorithm
+from repro.streams.model import BatchedIngest, Record, StreamAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query import CorrelatedQuery
@@ -71,12 +71,14 @@ def relative_error(estimate: float, exact: float) -> float:
     return abs(estimate - exact) / denominator
 
 
-class AccuracyAuditor:
+class AccuracyAuditor(BatchedIngest):
     """Wrap a stream algorithm with a live, sampled ground-truth shadow.
 
     The auditor is itself a :class:`~repro.streams.model.StreamAlgorithm`:
-    ``update``/``update_many``/``estimate`` forward to the wrapped
-    estimator, so it drops into any replay loop unchanged.
+    ``update``/``estimate`` forward to the wrapped estimator, and the
+    batch entry points come from :class:`~repro.streams.model.BatchedIngest`
+    (row by row, so audit points fire mid-batch), so it drops into any
+    replay loop unchanged.
 
     Parameters
     ----------
@@ -193,10 +195,6 @@ class AccuracyAuditor:
         if self._steps % self._every == 0:
             self.audit_now(value)
         return value
-
-    def update_many(self, records: Iterable[Record]) -> list[float]:
-        """Forward a chunk tuple-by-tuple (audit points fire mid-batch)."""
-        return [self.update(r) for r in records]
 
     def estimate(self) -> float:
         """The wrapped estimator's current answer."""

@@ -2,7 +2,7 @@
 
 :class:`ShardedIngestor` is a front-end over the existing estimators: it
 partitions a stream across ``multiprocessing`` workers, each running one
-estimator over its shard via the batched ``update_many`` path, and merges
+estimator over its shard via the columnar ``update_columns`` path, and merges
 the per-shard summaries at query time in the coordinator (the
 ``add``/``merge``/``end`` aggregation-function shape).
 
@@ -27,11 +27,9 @@ into a zero-copy shared-memory slot ring instead — see
 :mod:`repro.parallel.transport` for the wire formats, slot lifecycle and
 backpressure semantics.  Each worker feeds chunks straight into its
 estimator's ``update_columns`` kernel with ``collect="none"`` — no
-per-record estimates, no per-record objects on the wire.  Workers still
-accept legacy list-of-records chunks, so a coordinator and workers from
-different versions interoperate.  Workers receive their estimator as an
-explicit pickle payload, so construction is identical — and tested —
-under both ``fork`` and ``spawn`` start methods.
+per-record estimates, no per-record objects on the wire.  Workers receive
+their estimator as an explicit pickle payload, so construction is
+identical — and tested — under both ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ def _shard_worker(shard_id: int, estimator_payload: bytes, endpoint, out_queue) 
                 ingested += len(xs)
                 del xs, ys, chunk  # drop slab views before the slot is reused
                 endpoint.release()
-            elif kind == "records":
-                # Legacy chunk: a list of Record tuples.
-                estimator.update_many(chunk, collect="none")
-                ingested += len(chunk)
             elif kind == "query":
                 out_queue.put(("summary", shard_id, estimator, ingested))
             elif kind == "stop":

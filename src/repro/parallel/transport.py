@@ -237,9 +237,9 @@ class QueueTransport:
 class QueueEndpoint:
     """Worker-side receive handle for :class:`QueueTransport`.
 
-    Accepts three chunk payload shapes for cross-version interop: the
-    current pickled-``bytes`` blob, a raw ``(xs, ys)`` column tuple, and
-    the legacy list of ``Record`` tuples.
+    Chunks arrive as the pickled ``(xs, ys)`` blobs
+    :meth:`QueueTransport.send_records` enqueues; the coordinator and its
+    workers come from one process tree, so there is no other shape.
     """
 
     def __init__(self, queue) -> None:
@@ -249,17 +249,12 @@ class QueueEndpoint:
         """Nothing to map; the queue arrived through process inheritance."""
 
     def recv(self) -> tuple[str, object]:
-        """Next message: ("columns", (xs, ys)), ("records", list) or a fence."""
+        """Next message: ("columns", (xs, ys)) or a fence."""
         message = self._queue.get()
         tag = message[0]
         if tag != "chunk":
             return tag, None
-        chunk = message[1]
-        if isinstance(chunk, bytes):
-            return "columns", pickle.loads(chunk)
-        if isinstance(chunk, tuple):
-            return "columns", chunk
-        return "records", chunk
+        return "columns", pickle.loads(message[1])
 
     def release(self) -> None:
         """Queue chunks are owned copies; nothing to hand back."""

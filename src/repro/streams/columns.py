@@ -32,6 +32,21 @@ HAVE_NUMPY = np is not None
 ColumnPair = tuple["Sequence[float]", "Sequence[float]"]
 
 
+def _float_column(values: Iterable[float], name: str) -> "np.ndarray":
+    """One numpy float64 column, rejecting anything but one dimension."""
+    # numpy takes an input without a length (a generator) for one scalar
+    # and raises; np.fromiter consumes it instead.
+    try:
+        col = np.asarray(values, dtype=np.float64)
+    except TypeError:
+        col = np.fromiter(values, dtype=np.float64)
+    if col.ndim != 1:
+        raise ConfigurationError(
+            f"{name} column must be one-dimensional, got shape {col.shape}"
+        )
+    return col
+
+
 def as_columns(xs: Iterable[float], ys: Iterable[float] | None = None) -> ColumnPair:
     """Coerce ``xs``/``ys`` into a pair of equal-length float64 columns.
 
@@ -40,19 +55,11 @@ def as_columns(xs: Iterable[float], ys: Iterable[float] | None = None) -> Column
     when numpy is available, ``array('d')`` columns otherwise.
     """
     if HAVE_NUMPY:
-        x_col = np.asarray(xs, dtype=np.float64)
-        if x_col.ndim != 1:
-            raise ConfigurationError(
-                f"x column must be one-dimensional, got shape {x_col.shape}"
-            )
+        x_col = _float_column(xs, "x")
         if ys is None:
             y_col = np.ones(len(x_col), dtype=np.float64)
         else:
-            y_col = np.asarray(ys, dtype=np.float64)
-            if y_col.ndim != 1:
-                raise ConfigurationError(
-                    f"y column must be one-dimensional, got shape {y_col.shape}"
-                )
+            y_col = _float_column(ys, "y")
     else:
         x_col = xs if isinstance(xs, array) and xs.typecode == "d" else (
             array("d", [float(v) for v in xs])
@@ -84,7 +91,8 @@ def records_to_columns(
 
     The inverse of :func:`columns_to_records`; the sharded transport
     uses it to ship chunks as two flat arrays instead of n pickled
-    ``Record`` tuples.
+    ``Record`` tuples.  A :class:`ColumnRows` view hands back the
+    columns it wraps.
 
     ``out=`` is the allocation-hoisting fast path: pass a preallocated
     pair of float64 numpy buffers (each at least ``len(records)`` long)
@@ -96,6 +104,8 @@ def records_to_columns(
     builds fresh columns (``array`` slices are copies, so in-place reuse
     could not be returned as views anyway).
     """
+    if out is None and isinstance(records, ColumnRows):
+        return records.xs, records.ys
     n = len(records)
     if (
         out is not None
@@ -122,3 +132,28 @@ def records_to_columns(
         ys = np.fromiter((r.y for r in records), dtype=np.float64, count=n)
         return xs, ys
     return array("d", (r.x for r in records)), array("d", (r.y for r in records))
+
+
+class ColumnRows:
+    """A column pair read as a sequence of records, built on demand.
+
+    Lets the one batch loop take record lists and column chunks alike;
+    :func:`records_to_columns` hands the wrapped columns back as-is.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        self.xs = xs
+        self.ys = ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ColumnRows(self.xs[index], self.ys[index])
+        return Record(float(self.xs[index]), float(self.ys[index]))
+
+    def __iter__(self):
+        return iter(columns_to_records(self.xs, self.ys))

@@ -14,7 +14,7 @@ anywhere a :class:`Record` is; the estimators only unpack two fields.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError, StreamError
@@ -24,15 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Valid ``collect=`` modes for batched ingestion.
 COLLECT_MODES = ("all", "last", "none")
-
-
-def check_collect(collect: str) -> None:
-    """Validate a ``collect=`` argument with a did-you-mean error."""
-    if collect not in COLLECT_MODES:
-        raise ConfigurationError(
-            f"unknown collect mode {collect!r}; choose one of "
-            f"{', '.join(COLLECT_MODES)}"
-        )
 
 
 class Record(NamedTuple):
@@ -72,6 +63,7 @@ class StreamAlgorithm(Protocol):
     ) -> list[float]:
         """Consume a chunk of records; return outputs per ``collect``.
 
+        The record-list adapter over :meth:`update_columns`'s batch loop.
         ``collect="all"`` (the default) must be exactly equivalent to
         ``[self.update(r) for r in records]`` — batching is an ingestion
         fast path, never a semantic change.  ``"last"`` ingests the whole
@@ -88,57 +80,97 @@ class StreamAlgorithm(Protocol):
         xs: "Iterable[float]",
         ys: "Iterable[float] | None" = None,
         collect: str = "all",
+        *,
+        times: "Iterable[float] | None" = None,
     ) -> list[float]:
         """Consume a columnar chunk: parallel arrays of x and y values.
 
-        Equivalent to ``update_many([Record(x, y) for x, y in zip(xs, ys)],
-        collect)`` with ``ys=None`` meaning y=1.0 throughout.  Columnar
-        implementations may route the arrays through vectorised kernels
-        instead of materialising records.
+        The batch primitive.  Equivalent to ``update_many([Record(x, y)
+        for x, y in zip(xs, ys)], collect)`` with ``ys=None`` meaning
+        y=1.0 throughout.  ``times`` is the time axis, one more input
+        column: time-window scopes require it and every other scope
+        rejects it.  Columnar implementations may route the arrays
+        through vectorised kernels instead of materialising records.
         """
         ...
 
 
 class BatchedIngest:
-    """Default ``update_many``/``update_columns`` for algorithms without a
-    native batch path.
+    """The one batch loop behind ``update_columns`` and ``update_many``.
 
-    Mixing this in satisfies the :class:`StreamAlgorithm` batch contract
-    with a straight transcription of the scalar loop (plus the same tuple
-    coercion ``run_stream`` performs), so callers can batch uniformly
-    without caring which algorithms have a hand-tuned fast loop.
+    The default steps every row through the scalar path; the focused
+    kernel overrides only the hand-off, :meth:`_feed_rows`.
     """
 
-    def update_many(
-        self, records: Iterable[Record], collect: str = "all"
-    ) -> list[float]:
-        """Consume a chunk of records via the scalar ``update`` loop."""
-        check_collect(collect)
-        update = self.update  # type: ignore[attr-defined]
-        if collect == "all":
-            return [
-                update(r if isinstance(r, Record) else Record(*r)) for r in records
-            ]
-        value = None
-        seen = False
-        for r in records:
-            value = update(r if isinstance(r, Record) else Record(*r))
-            seen = True
-        if collect == "last" and seen:
-            return [value]
-        return []
+    #: Time-window scopes: rows need ``times=`` and step via ``_absorb_timed``.
+    _timestamped = False
+
+    def update_many(self, records: Iterable[Record], collect: str = "all") -> list[float]:
+        """Adapter: coerce plain tuples (``Record`` objects pass as-is)."""
+        rows = [r if isinstance(r, Record) else Record(*r) for r in records]
+        return self._ingest_rows(rows, None, collect)
 
     def update_columns(
         self,
         xs: Iterable[float],
         ys: Iterable[float] | None = None,
         collect: str = "all",
+        *,
+        times: Iterable[float] | None = None,
     ) -> list[float]:
-        """Consume a columnar chunk via the scalar ``update`` loop."""
-        from repro.streams.columns import as_columns, columns_to_records
-
+        """The batch primitive; see :meth:`StreamAlgorithm.update_columns`."""
         x_col, y_col = as_columns(xs, ys)
-        return self.update_many(columns_to_records(x_col, y_col), collect=collect)
+        if times is not None:
+            times = times.tolist() if hasattr(times, "tolist") else [float(t) for t in times]
+            if len(times) != len(x_col):
+                raise ConfigurationError(
+                    f"times and xs have mismatched lengths: {len(times)} != {len(x_col)}"
+                )
+        return self._ingest_rows(ColumnRows(x_col, y_col), times, collect)
+
+    def _ingest_rows(self, rows: Sequence[Record], times, collect: str) -> list[float]:
+        """Validate ``collect`` and ``times``, feed every row, apply ``collect``."""
+        if collect not in COLLECT_MODES:
+            raise ConfigurationError(
+                f"unknown collect mode {collect!r}; choose one of {', '.join(COLLECT_MODES)}"
+            )
+        if (times is not None) != self._timestamped:
+            raise ConfigurationError(
+                f"times= is {'required' if self._timestamped else 'only'} for "
+                "time-window estimators: update_columns(xs, ys, times=...)"
+            )
+        outputs: list[float] = []
+        self._feed_rows(rows, times, outputs, collect)
+        if collect == "all":
+            return outputs
+        if collect == "last" and len(rows):
+            return [self.estimate()]  # type: ignore[attr-defined]
+        return []
+
+    def _feed_rows(self, rows, times, outputs: list[float], collect: str) -> None:
+        """Step every row through the scalar path (answers only for "all")."""
+        if times is not None:
+            absorb_timed = self._absorb_timed
+            for time, record in zip(times, rows):
+                absorb_timed(time, record)
+                if collect == "all":
+                    outputs.append(self.estimate())  # type: ignore[attr-defined]
+        elif collect == "all":
+            update = self.update  # type: ignore[attr-defined]
+            append = outputs.append
+            for record in rows:
+                append(update(record))
+        else:
+            absorb = self._absorb
+            for record in rows:
+                absorb(record)
+
+    def _absorb(self, record: Record) -> None:
+        """Ingest one row without its answer (default: ``update``, dropped)."""
+        self.update(record)  # type: ignore[attr-defined]
+
+    def _absorb_timed(self, time: float, record: Record) -> None:
+        raise NotImplementedError
 
 
 @runtime_checkable
@@ -217,3 +249,7 @@ def as_records(values: Iterable[float | tuple[float, ...] | Record]) -> list[Rec
         else:
             records.append(Record(float(item)))
     return records
+
+
+# Last: repro.streams.columns imports Record from this module.
+from repro.streams.columns import ColumnRows, as_columns  # noqa: E402

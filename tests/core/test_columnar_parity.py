@@ -1,8 +1,8 @@
 """Batch-vs-scalar golden parity for the columnar ingestion kernels.
 
-``update_columns`` (and the timed variant on the time-window estimator)
-must be a float-for-float transcription of the scalar ``update`` loop:
-same per-record outputs under ``collect="all"``, same final estimate and
+``update_columns`` (with ``times=`` on the time-window estimator) must
+be a float-for-float transcription of the scalar ``update`` loop: same
+per-record outputs under ``collect="all"``, same final estimate and
 internal state under ``collect="last"``/``"none"``, same exception (with
 the same partial state) when a chunk holds a record the scalar path
 would reject.  These tests pin that equivalence for all five estimator
@@ -159,6 +159,9 @@ def test_numpy_inputs_match_list_inputs(family, stream, columns):
     for edge in getattr(batched, "_inner").edges:
         assert type(edge) is float
     assert _state_fingerprint(batched) == _state_fingerprint(single)
+    from_generators = _build(family)
+    assert from_generators.update_columns((x for x in xs), (y for y in ys)) == expected
+    assert _state_fingerprint(from_generators) == _state_fingerprint(single)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
@@ -257,11 +260,11 @@ def test_time_sliding_columns_timed_matches_scalar(stream):
     single = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
     expected = [single.update(t, r) for t, r in zip(times, records)]
     batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-    assert batched.update_columns_timed(times, xs, ys) == expected
+    assert batched.update_columns(xs, ys, times=times) == expected
     assert batched.obs_state() == single.obs_state()
     for collect, want in (("last", [expected[-1]]), ("none", [])):
         lean = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-        assert lean.update_columns_timed(times, xs, ys, collect=collect) == want
+        assert lean.update_columns(xs, ys, collect=collect, times=times) == want
         assert lean.estimate() == expected[-1]
         assert lean.obs_state() == single.obs_state()
 
@@ -269,17 +272,56 @@ def test_time_sliding_columns_timed_matches_scalar(stream):
 def test_time_sliding_columns_timed_length_mismatch(stream):
     estimator = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
     with pytest.raises(ConfigurationError, match="mismatched"):
-        estimator.update_columns_timed([1.0, 2.0], [1.0])
+        estimator.update_columns([1.0], times=[1.0, 2.0])
 
 
-def test_time_sliding_update_many_timed_collect_modes(stream):
+@pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
+def test_empty_chunks_return_nothing(family, stream):
+    """An empty chunk ingests nothing in every mode; ``"last"`` returns []."""
+    estimator = _build(family)
+    oracle = build_estimator(FAMILY_QUERIES[family], "exact", stream=stream)
+    for algorithm in (estimator, oracle):
+        for collect in ("all", "last", "none"):
+            assert algorithm.update_columns([], [], collect=collect) == []
+            assert algorithm.update_many([], collect=collect) == []
+    estimator.update_many(stream[:300], collect="none")
+    before = _state_fingerprint(estimator)
+    for collect in ("all", "last", "none"):
+        assert estimator.update_columns([], [], collect=collect) == []
+        assert estimator.update_many([], collect=collect) == []
+    assert _state_fingerprint(estimator) == before
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
+def test_times_rejected_on_count_scope(family, columns):
+    xs, ys = columns
+    oracle = build_estimator(FAMILY_QUERIES[family], "exact", universe=xs)
+    for algorithm in (_build(family), oracle):
+        untouched = algorithm.obs_state()
+        with pytest.raises(ConfigurationError, match="times="):
+            algorithm.update_columns(xs[:10], ys[:10], times=[float(i) for i in range(10)])
+        assert algorithm.obs_state() == untouched  # nothing ingested
+
+
+def test_time_sliding_requires_times(stream):
+    records = stream[:10]
+    estimator = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
+    with pytest.raises(ConfigurationError, match="times="):
+        estimator.update_columns([r.x for r in records], [r.y for r in records])
+    with pytest.raises(ConfigurationError, match="times="):
+        estimator.update_many(records)
+    assert estimator.live_count == 0
+
+
+def test_time_sliding_timed_collect_modes(stream):
     times, records = _timed_stream(stream[:200])
     single = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
     expected = [single.update(t, r) for t, r in zip(times, records)]
-    timed = list(zip(times, records))
+    xs = [r.x for r in records]
+    ys = [r.y for r in records]
     for collect, want in (("all", expected), ("last", [expected[-1]]), ("none", [])):
         batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-        assert batched.update_many_timed(timed, collect=collect) == want
+        assert batched.update_columns(xs, ys, collect=collect, times=times) == want
         assert batched.estimate() == expected[-1]
 
 

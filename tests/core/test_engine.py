@@ -190,8 +190,10 @@ class TestTimeWindowFactory:
     def test_estimator_tracks_window_occupancy(self, rng):
         records = make_records(rng.uniform(1.0, 100.0, size=150))
         est = build_estimator(LM_MIN, "piecemeal-uniform", time_window=50.0)
-        outputs = est.update_many_timed(
-            [(float(i), r) for i, r in enumerate(records, start=1)]
+        outputs = est.update_columns(
+            [r.x for r in records],
+            [r.y for r in records],
+            times=[float(i) for i in range(1, len(records) + 1)],
         )
         assert len(outputs) == len(records)
         assert all(np.isfinite(v) for v in outputs)

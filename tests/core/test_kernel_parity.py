@@ -26,6 +26,7 @@ from repro.core.query import CorrelatedQuery
 from repro.core.time_sliding import TimeSlidingEstimator
 from repro.datasets.registry import load_dataset
 from repro.obs.sink import RecordingSink
+from repro.streams.model import Record
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "kernel_parity.json"
 
@@ -152,10 +153,29 @@ def test_update_many_accepts_bare_tuples(stream):
     batched = build_estimator(query, "piecemeal-uniform", num_buckets=10)
     expected = [single.update(r) for r in records]
     assert batched.update_many([(r.x, r.y) for r in records]) == expected
+    from_generator = build_estimator(query, "piecemeal-uniform", num_buckets=10)
+    assert from_generator.update_many(r for r in records) == expected
 
 
-def test_update_many_time_sliding(stream):
-    """The time-window estimator batches (time, record) pairs exactly."""
+def test_update_many_ingests_the_callers_records(stream):
+    """The adapter hands ``Record`` objects on as-is, never rebuilt."""
+    query = _BATCH_QUERIES["min-landmark"]
+    warming = build_estimator(query, "piecemeal-uniform", num_buckets=10)
+    records = [Record(float(x)) for x in range(100, 95, -1)]
+    warming.update_many(records, collect="none")
+    assert warming._buffer is not None and len(warming._buffer) == len(records)
+    assert all(a is b for a, b in zip(warming._buffer, records))
+    # Steady scalar steps too: a sliding window keeps the records it saw.
+    window = CorrelatedQuery("count", "avg", window=50)
+    steady = build_estimator(window, "piecemeal-uniform", num_buckets=10)
+    records = stream[:200]
+    steady.update_many(records)
+    assert len(steady._ring) == 50
+    assert all(cell[0] is r for cell, r in zip(steady._ring, records[-50:]))
+
+
+def test_batched_time_sliding(stream):
+    """The time-window estimator batches a time column exactly."""
     records = stream[:BATCH_SLICE]
     query = CorrelatedQuery("count", "min", epsilon=99.0)
     single = TimeSlidingEstimator(query, duration=50.0, num_buckets=10)
@@ -163,5 +183,7 @@ def test_update_many_time_sliding(stream):
     expected = [
         single.update(time=i * 0.5, record=r) for i, r in enumerate(records)
     ]
-    timed = [(i * 0.5, r) for i, r in enumerate(records)]
-    assert batched.update_many_timed(timed) == expected
+    times = [i * 0.5 for i in range(len(records))]
+    xs = [r.x for r in records]
+    ys = [r.y for r in records]
+    assert batched.update_columns(xs, ys, times=times) == expected

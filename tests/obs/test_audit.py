@@ -13,7 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.audit import AccuracyAuditor, relative_error
 from repro.obs.sink import RecordingSink
 from repro.obs.trace import Tracer
-from repro.streams.model import Record
+from repro.streams.model import Record, StreamAlgorithm
 
 
 def _records(n, seed=11, low=0.0, high=100.0):
@@ -89,6 +89,37 @@ class TestShadowExactness:
         assert auditor.shadow_answer() == pytest.approx(
             exact_series(records, query)[-1], rel=1e-9
         )
+
+
+class TestBatchedIngest:
+    def test_is_a_stream_algorithm(self):
+        query = CorrelatedQuery("count", "min", epsilon=50.0)
+        auditor = AccuracyAuditor(build_estimator(query, "exact", universe=[1.0]), query)
+        assert isinstance(auditor, StreamAlgorithm)
+
+    def test_chunked_columns_audit_like_the_scalar_loop(self):
+        query = CorrelatedQuery("count", "min", epsilon=50.0)
+        records = _records(300)
+
+        def audited():
+            estimator = TestBudgetAccounting._Biased(
+                build_estimator(query, "exact", stream=records)
+            )
+            return AccuracyAuditor(estimator, query, every=40, budget=0.1)
+
+        scalar = audited()
+        for r in records:
+            scalar.update(r)
+        chunked = audited()
+        for lo in range(0, len(records), 32):
+            chunk = records[lo : lo + 32]
+            out = chunked.update_columns(
+                [r.x for r in chunk], [r.y for r in chunk], collect="none"
+            )
+            assert out == []
+        assert (chunked.checks, chunked.breaches) == (scalar.checks, scalar.breaches)
+        assert chunked.checks == 7 and chunked.breaches == 7
+        assert chunked.estimate() == scalar.estimate()
 
 
 class TestBudgetAccounting:
