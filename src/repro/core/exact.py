@@ -20,6 +20,7 @@ from collections.abc import Iterable, Sequence
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
 from repro.streams.model import BatchedIngest, Record, ensure_finite
+from repro.structures.exact_sum import ExactSum
 from repro.structures.fenwick import OrderStatisticsIndex
 from repro.structures.monotonic_deque import MonotonicDeque
 from repro.structures.ring_buffer import RingBuffer
@@ -49,6 +50,8 @@ class ExactOracle(BatchedIngest):
             window = query.window
             assert window is not None
             self._ring: RingBuffer[Record] | None = RingBuffer(window)
+            if query.independent == "avg":
+                self._window_sum = ExactSum()
             if query.independent in ("min", "max"):
                 self._deque: MonotonicDeque | None = MonotonicDeque(
                     window, mode=query.independent
@@ -61,6 +64,15 @@ class ExactOracle(BatchedIngest):
         self._moments = RunningMoments()
         self._extremum: float | None = None
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        sliding_avg = self._ring is not None and self._query.independent == "avg"
+        if sliding_avg and "_window_sum" not in state:
+            # A checkpoint written before the running window sum existed.
+            self._window_sum = ExactSum()
+            for cell in self._ring:
+                self._window_sum.add(cell.x)
+
     @property
     def query(self) -> CorrelatedQuery:
         return self._query
@@ -71,9 +83,10 @@ class ExactOracle(BatchedIngest):
                 # Exactly-rounded, order-independent window mean: a value
                 # can sit exactly on the mean (symmetric windows), where a
                 # last-ulp difference between incremental recurrences flips
-                # the strict predicate.  O(w) per step is fine for ground
-                # truth.
-                return math.fsum(cell.x for cell in self._ring) / len(self._ring)
+                # the strict predicate.  The exact running partials give
+                # math.fsum over the window in O(#partials), not O(w).
+                ring = self._ring
+                return self._window_sum.fsum(cell.x for cell in ring) / len(ring)
             return self._moments.mean
         if self._deque is not None:
             return self._deque.extremum()
@@ -85,9 +98,12 @@ class ExactOracle(BatchedIngest):
         ensure_finite(record)
         evicted = self._ring.push(record) if self._ring is not None else None
         if self._query.independent == "avg":
-            self._moments.push(record.x)
-            if evicted is not None:
-                self._moments.remove(evicted.x)
+            if self._ring is None:
+                self._moments.push(record.x)
+            else:
+                self._window_sum.add(record.x)
+                if evicted is not None:
+                    self._window_sum.remove(evicted.x)
         elif self._deque is not None:
             self._deque.push(record.x)
         else:

@@ -225,23 +225,37 @@ class BucketArray:
 
         The query interval is intersected with the histogram range; buckets
         fully inside contribute their whole mass, partially overlapped
-        buckets contribute pro-rata by width.
+        buckets contribute pro-rata by width.  Only the overlapping buckets
+        are visited: the scan starts at the bucket holding ``lo`` (found by
+        bisection) and stops after the bucket whose right edge reaches
+        ``hi``, so a call costs O(log m + overlapped buckets) and adds the
+        same terms in the same order as a scan of every bucket.  A NaN
+        bound still visits at least one bucket, so the answer is NaN, as it
+        was for a full scan.
         """
         if hi < lo:
             raise HistogramError(f"reversed interval [{lo}, {hi}]")
-        lo = max(lo, self._edges[0])
-        hi = min(hi, self._edges[-1])
+        edges = self._edges
+        lo = max(lo, edges[0])
+        hi = min(hi, edges[-1])
         if hi <= lo:
             return ZERO_MASS
+        counts = self._counts
+        weights = self._weights
+        k = len(counts)
         count = 0.0
         weight = 0.0
-        for i, (left, right) in enumerate(zip(self._edges, self._edges[1:])):
-            overlap = min(hi, right) - max(lo, left)
-            if overlap <= 0.0:
-                continue
-            fraction = overlap / (right - left)
-            count += self._counts[i] * fraction
-            weight += self._weights[i] * fraction
+        for i in range(bisect.bisect_right(edges, lo, 1, k) - 1, k):
+            left = edges[i]
+            right = edges[i + 1]
+            # min(hi, right) - max(lo, left), without the builtin calls.
+            fraction = ((right if right < hi else hi) - (left if left > lo else lo)) / (
+                right - left
+            )
+            count += counts[i] * fraction
+            weight += weights[i] * fraction
+            if right >= hi:
+                break
         return Mass(count, weight)
 
     def estimate_leq(self, threshold: float) -> Mass:

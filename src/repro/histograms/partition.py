@@ -143,6 +143,12 @@ def normal_quantile_boundaries(
     with mean mu and standard deviation sigma/sqrt(n)"*.  Quantiles are
     computed for the normal distribution conditioned on ``[low, high]`` so
     all edges land inside the interval.
+
+    Each edge is found by bisection on the cdf, capped at 80 steps.  A step
+    is a pure function of the bracket ``(lo, hi)``, so once a step would
+    leave the bracket unchanged (the midpoint rounds onto the end it would
+    replace) every later step repeats it: the bisection stops there, at its
+    fixed point, with the edge the full 80 steps would have produced.
     """
     if num_buckets <= 0:
         raise ConfigurationError(f"num_buckets must be positive, got {num_buckets}")
@@ -150,17 +156,23 @@ def normal_quantile_boundaries(
         raise ConfigurationError(f"need high > low, got [{low}, {high}]")
     if scale <= 0:
         return uniform_boundaries(low, high, num_buckets)
+    denom = scale * math.sqrt(2.0)
+    erf = math.erf
 
     def cdf(x: float) -> float:
-        return 0.5 * (1.0 + math.erf((x - mean) / (scale * math.sqrt(2.0))))
+        return 0.5 * (1.0 + erf((x - mean) / denom))
 
     def inverse_cdf(p: float) -> float:
         lo, hi = low, high
         for _ in range(80):  # bisection: plenty for double precision
             mid = (lo + hi) / 2.0
-            if cdf(mid) < p:
+            if 0.5 * (1.0 + erf((mid - mean) / denom)) < p:  # cdf(mid), inlined
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return (lo + hi) / 2.0
 

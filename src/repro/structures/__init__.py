@@ -13,6 +13,9 @@ These are the substrate the paper's algorithms stand on:
 * :class:`~repro.structures.intervals.IntervalExtremaTracker` — the paper's
   Section 4.1.1 strategy: partition the sliding window into fixed-length
   intervals, keep a local extremum per interval.
+* :class:`~repro.structures.exact_sum.ExactSum` — exact running sum of a
+  float multiset under insert/remove (Shewchuk partials), the sliding-AVG
+  oracle's window sum.
 * :class:`~repro.structures.welford.RunningMoments` — numerically stable
   running mean/variance (Welford), the basis of the CLT focus interval.
 * :class:`~repro.structures.p2_quantile.P2Quantile` — constant-space
@@ -20,6 +23,7 @@ These are the substrate the paper's algorithms stand on:
   re-seeding bucket boundaries.
 """
 
+from repro.structures.exact_sum import ExactSum
 from repro.structures.fenwick import FenwickTree, OrderStatisticsIndex
 from repro.structures.gk_quantiles import GKQuantileSummary
 from repro.structures.intervals import IntervalExtremaTracker
@@ -30,6 +34,7 @@ from repro.structures.time_intervals import TimeIntervalExtremaTracker
 from repro.structures.welford import RunningMoments
 
 __all__ = [
+    "ExactSum",
     "FenwickTree",
     "GKQuantileSummary",
     "OrderStatisticsIndex",

@@ -75,19 +75,16 @@ class IntervalExtremaTracker:
     def mode(self) -> str:
         return self._mode
 
-    def _better(self, a: float, b: float) -> float:
-        return min(a, b) if self._mode == "min" else max(a, b)
-
-    def _worse(self, a: float, b: float) -> float:
-        return max(a, b) if self._mode == "min" else min(a, b)
-
     def push(self, value: float) -> None:
         """Observe the next stream value."""
         self._total_seen += 1
-        if self._current is None:
+        current = self._current
+        if current is None:
             self._current = value
+        elif self._mode == "min":
+            self._current = min(current, value)
         else:
-            self._current = self._better(self._current, value)
+            self._current = max(current, value)
         self._current_count += 1
         if self._current_count == self._interval_length:
             self._locals.append(self._current)
@@ -105,14 +102,15 @@ class IntervalExtremaTracker:
         return values
 
     def extremum(self) -> float:
-        """Estimated window extremum: best over the retained local extrema."""
+        """Estimated window extremum: best over the retained local extrema.
+
+        Ties keep the oldest value (the builtins keep the first of equal
+        items), so a ``-0.0``/``0.0`` tie answers the older zero.
+        """
         values = self._all_locals()
         if not values:
             raise StreamError("extremum() before any value was pushed")
-        best = values[0]
-        for v in values[1:]:
-            best = self._better(best, v)
-        return best
+        return min(values) if self._mode == "min" else max(values)
 
     def worst_local(self) -> float:
         """``maxmin`` for MIN mode (``minmax`` for MAX mode).
@@ -124,10 +122,7 @@ class IntervalExtremaTracker:
         values = self._all_locals()
         if not values:
             raise StreamError("worst_local() before any value was pushed")
-        worst = values[0]
-        for v in values[1:]:
-            worst = self._worse(worst, v)
-        return worst
+        return max(values) if self._mode == "min" else min(values)
 
     def __len__(self) -> int:
         """Number of retained local extrema (completed + current partial)."""

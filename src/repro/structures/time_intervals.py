@@ -61,12 +61,6 @@ class TimeIntervalExtremaTracker:
     def mode(self) -> str:
         return self._mode
 
-    def _better(self, a: float, b: float) -> float:
-        return min(a, b) if self._mode == "min" else max(a, b)
-
-    def _worse(self, a: float, b: float) -> float:
-        return max(a, b) if self._mode == "min" else min(a, b)
-
     def push(self, time: float, value: float) -> None:
         """Observe ``value`` at stream time ``time`` (non-decreasing)."""
         if self._last_time is not None and time < self._last_time:
@@ -77,7 +71,8 @@ class TimeIntervalExtremaTracker:
         index = int(time // self._slice_length)
         if self._slices and self._slices[-1][0] == index:
             old = self._slices[-1][1]
-            self._slices[-1] = (index, self._better(old, value))
+            best = min(old, value) if self._mode == "min" else max(old, value)
+            self._slices[-1] = (index, best)
         else:
             self._slices.append((index, value))
         self._expire(time)
@@ -94,19 +89,15 @@ class TimeIntervalExtremaTracker:
         """Estimated window extremum over the retained slices."""
         if not self._slices:
             raise StreamError("extremum() before any value was pushed")
-        best = self._slices[0][1]
-        for _, value in self._slices:
-            best = self._better(best, value)
-        return best
+        values = [value for _, value in self._slices]
+        return min(values) if self._mode == "min" else max(values)
 
     def worst_local(self) -> float:
         """The worst retained local extremum (``maxmin``/``minmax``)."""
         if not self._slices:
             raise StreamError("worst_local() before any value was pushed")
-        worst = self._slices[0][1]
-        for _, value in self._slices:
-            worst = self._worse(worst, value)
-        return worst
+        values = [value for _, value in self._slices]
+        return max(values) if self._mode == "min" else min(values)
 
     def __len__(self) -> int:
         """Number of retained slices (bounded by num_intervals + 1)."""

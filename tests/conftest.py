@@ -57,6 +57,18 @@ def make_records(xs, ys=None) -> list[Record]:
     return [Record(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
+def outcome(fn, *args) -> str:
+    """``repr`` of ``fn(*args)``, or the raised exception's type and message.
+
+    Bit-identity tests compare these strings: ``repr`` tells ``-0.0`` from
+    ``0.0`` and shows NaN, where ``==`` would not.
+    """
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A seeded generator for per-test randomness."""

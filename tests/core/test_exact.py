@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.exact import ExactOracle, exact_series
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
-from tests.conftest import brute_force_series, make_records
+from tests.conftest import brute_force_series, make_records, outcome
 
 
 class TestExactSeries:
@@ -75,3 +79,107 @@ class TestExactOracle:
         oracle = ExactOracle(q, xs)
         stepwise = [oracle.update(r) for r in records]
         assert stepwise == exact_series(records, q)
+
+
+class _FsumWindowOracle(ExactOracle):
+    """The sliding-AVG mean ``ExactOracle`` replaced, verbatim: ``math.fsum``
+    over the whole window at every step."""
+
+    def _independent_value(self) -> float:
+        return math.fsum(cell.x for cell in self._ring) / len(self._ring)
+
+
+_MAX = 1.7976931348623157e308
+# Cancellation (1e16, 1, -1e16), signed zeros, and magnitudes near overflow,
+# where math.fsum over the window raises depending on the window's order.
+_HARD_VALUES = st.one_of(
+    st.sampled_from(
+        [1e16, 1.0, -1e16, -1.0, 0.0, -0.0, 0.5, 5e-324, -5e-324, 1e-300]
+        + [1e308, -1e308, _MAX, -_MAX, 8.9e307, 2.0**960, -(2.0**960), 2.0**959]
+    ),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _sliding_avg_query(dependent, window, two_sided):
+    return CorrelatedQuery(dependent, "avg", epsilon=0.5, window=window, two_sided=two_sided)
+
+
+class TestSlidingAvgRunningSum:
+    """The running exact window sum gives, by ``repr``, what ``math.fsum``
+    over the window gave: answers, means and ``OverflowError`` alike."""
+
+    @given(
+        xs=st.lists(_HARD_VALUES, min_size=1, max_size=60),
+        window=st.integers(2, 9),
+        dependent=st.sampled_from(["count", "sum", "avg"]),
+        two_sided=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fsum_over_window(self, xs, window, dependent, two_sided):
+        records = make_records(xs, [float(i % 5) - 1.0 for i in range(len(xs))])
+        q = _sliding_avg_query(dependent, window, two_sided)
+        new = ExactOracle(q, xs)
+        old = _FsumWindowOracle(q, xs)
+        for r in records:
+            assert outcome(new.update, r) == outcome(old.update, r)
+            assert outcome(new._independent_value) == outcome(old._independent_value)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1e16, 1.0, -1e16] * 5,
+            [-0.0, -0.0, -0.0, 0.0, -0.0],
+            [1.0, -1.0, 1.0, -1.0, 1.0, -1.0],
+            [1e308, 1e308, -1e308, -1e308, 1e308, 5.0, 1e308],  # order-dependent overflow
+            [-1e308, 1e308, 1e308, -1e308, 1.0, 2.0, 3.0],
+            [_MAX, 9.9e291, -_MAX, 2.0**960, 3.0, 4.0, 5.0],
+        ],
+    )
+    def test_hard_streams(self, xs):
+        q = _sliding_avg_query("count", 3, False)
+        new = ExactOracle(q, xs)
+        old = _FsumWindowOracle(q, xs)
+        for r in make_records(xs):
+            assert outcome(new.update, r) == outcome(old.update, r)
+            assert outcome(new._independent_value) == outcome(old._independent_value)
+
+    def test_overflow_is_still_raised(self):
+        q = _sliding_avg_query("count", 3, False)
+        oracle = ExactOracle(q, [1e308, -1e308])
+        oracle.update(make_records([1e308])[0])
+        with pytest.raises(OverflowError):
+            oracle.update(make_records([1e308])[0])
+
+    @given(
+        xs=st.lists(_HARD_VALUES, min_size=2, max_size=40),
+        window=st.integers(2, 7),
+        cut=st.integers(1, 39),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pickled_mid_window_continues_identically(self, xs, window, cut):
+        cut = min(cut, len(xs) - 1)
+        records = make_records(xs)
+        q = _sliding_avg_query("count", window, False)
+        oracle = ExactOracle(q, xs)
+        for r in records[:cut]:
+            outcome(oracle.update, r)
+        resumed = pickle.loads(pickle.dumps(oracle, pickle.HIGHEST_PROTOCOL))
+        for r in records[cut:]:
+            assert outcome(resumed.update, r) == outcome(oracle.update, r)
+
+    def test_checkpoint_without_running_sum_rebuilds_it(self):
+        xs = [3.0, 1e16, 1.0, -1e16, 2.5, 7.0, -4.0]
+        records = make_records(xs)
+        q = _sliding_avg_query("count", 4, False)
+        oracle = ExactOracle(q, xs)
+        for r in records[:5]:
+            oracle.update(r)
+        state = copy.deepcopy(oracle.__dict__)
+        del state["_window_sum"]  # the state a pre-running-sum oracle pickled
+        restored = ExactOracle.__new__(ExactOracle)
+        restored.__setstate__(state)
+        for r in records[5:]:
+            assert repr(restored.update(r)) == repr(oracle.update(r))
+            assert repr(restored._independent_value()) == repr(oracle._independent_value())

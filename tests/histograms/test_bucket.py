@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, HistogramError
 from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass
+from tests.conftest import outcome
 
 
 class TestMass:
@@ -253,3 +254,100 @@ class TestMassConservationProperties:
                 h.counts[i] for i in range(h.num_buckets) if h.edges[i + 1] <= edge
             )
             assert h.estimate_leq(edge).count == pytest.approx(counted)
+
+
+def _full_scan_estimate(h, lo, hi):
+    """The every-bucket scan ``estimate_between`` replaced, verbatim."""
+    edges, counts, weights = h.edges, h.counts, h.weights
+    if hi < lo:
+        raise HistogramError(f"reversed interval [{lo}, {hi}]")
+    lo = max(lo, edges[0])
+    hi = min(hi, edges[-1])
+    if hi <= lo:
+        return ZERO_MASS
+    count = 0.0
+    weight = 0.0
+    for i, (left, right) in enumerate(zip(edges, edges[1:])):
+        overlap = min(hi, right) - max(lo, left)
+        if overlap <= 0.0:
+            continue
+        fraction = overlap / (right - left)
+        count += counts[i] * fraction
+        weight += weights[i] * fraction
+    return Mass(count, weight)
+
+
+_SPECIAL_BOUNDS = [float("inf"), float("-inf"), float("nan"), 0.0, -0.0, 5e-324, -5e-324]
+
+
+@st.composite
+def _histogram_and_bounds(draw, finite_edges=True):
+    edge_values = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=not finite_edges),
+            min_size=2,
+            max_size=12,
+            unique=True,
+        )
+    )
+    edges = sorted(set(edge_values))  # set() folds 0.0/-0.0 into one edge
+    if len(edges) < 2:
+        edges = [edges[0], edges[0] + 1.0] if edges[0] < 1e308 else [0.0, edges[0]]
+    k = len(edges) - 1
+    mass = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, 3.0]))
+    counts = draw(st.lists(mass, min_size=k, max_size=k))
+    weights = draw(st.lists(mass, min_size=k, max_size=k))
+    bound = st.one_of(
+        st.sampled_from(edges),  # exactly on an edge
+        st.sampled_from(_SPECIAL_BOUNDS),
+        st.floats(allow_nan=False, allow_infinity=False),  # anywhere, mostly outside
+        st.floats(min(edges[0], -1e300), max(edges[-1], 1e300)),
+    )
+    if all(abs(e) < 1e300 for e in edges):
+        span = edges[-1] - edges[0]
+        bound = st.one_of(bound, st.floats(edges[0] - span, edges[-1] + span))
+    return BucketArray(edges, counts, weights), draw(bound), draw(bound)
+
+
+class TestEstimateBetweenMatchesFullScan:
+    """The bisect-started scan adds the same terms, in the same order, as
+    a scan of every bucket: answers are bit-identical (by ``repr``)."""
+
+    @given(case=_histogram_and_bounds())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_full_scan(self, case):
+        h, lo, hi = case
+        assert outcome(h.estimate_between, lo, hi) == outcome(_full_scan_estimate, h, lo, hi)
+        # Reversed bounds raise in both.
+        assert outcome(h.estimate_between, hi, lo) == outcome(_full_scan_estimate, h, hi, lo)
+
+    @given(case=_histogram_and_bounds(finite_edges=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan_with_infinite_edges(self, case):
+        h, lo, hi = case
+        assert outcome(h.estimate_between, lo, hi) == outcome(_full_scan_estimate, h, lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (float("nan"), 1.5),
+            (0.5, float("nan")),
+            (float("nan"), float("nan")),
+            (float("nan"), 0.0),  # NaN lo, hi on the low edge: still NaN
+            (float("nan"), -5.0),
+            (float("-inf"), float("inf")),
+            (float("-inf"), 0.25),
+            (2.75, float("inf")),
+            (float("inf"), float("inf")),
+            (float("-inf"), float("-inf")),
+            (1.0, 2.0),  # both on interior edges
+            (0.0, 0.0),
+        ],
+    )
+    def test_non_finite_and_edge_bounds(self, lo, hi):
+        h = BucketArray([0.0, 1.0, 2.0, 3.0], counts=[1.0, 2.0, 4.0], weights=[-1.0, 0.5, 8.0])
+        assert outcome(h.estimate_between, lo, hi) == outcome(_full_scan_estimate, h, lo, hi)
+
+    def test_nan_bound_gives_nan_mass(self):
+        h = BucketArray([0.0, 1.0, 2.0], counts=[1.0, 1.0], weights=[1.0, 1.0])
+        assert repr(h.estimate_between(float("nan"), 1.5)) == "Mass(count=nan, weight=nan)"

@@ -1,4 +1,4 @@
-"""Tests for the interval-based sliding extrema tracker (paper Section 4.1.1)."""
+"""Tests for the interval-based sliding extrema trackers (paper Section 4.1.1)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, StreamError
 from repro.structures.intervals import IntervalExtremaTracker
+from repro.structures.time_intervals import TimeIntervalExtremaTracker
 
 
 class TestIntervalExtremaTracker:
@@ -94,3 +95,150 @@ class TestIntervalExtremaTracker:
             span = (num_intervals + 1) * t.interval_length
             retained = values[max(0, i - span + 1) : i + 1]
             assert min(retained) <= t.extremum() <= true_min
+
+
+class _FoldIntervalTracker(IntervalExtremaTracker):
+    """The two-argument folds the builtin reductions replaced, verbatim."""
+
+    def _better(self, a: float, b: float) -> float:
+        return min(a, b) if self._mode == "min" else max(a, b)
+
+    def _worse(self, a: float, b: float) -> float:
+        return max(a, b) if self._mode == "min" else min(a, b)
+
+    def push(self, value: float) -> None:
+        self._total_seen += 1
+        if self._current is None:
+            self._current = value
+        else:
+            self._current = self._better(self._current, value)
+        self._current_count += 1
+        if self._current_count == self._interval_length:
+            self._locals.append(self._current)
+            self._current = None
+            self._current_count = 0
+            while len(self._locals) > self._max_intervals:
+                self._locals.popleft()
+
+    def extremum(self) -> float:
+        values = self._all_locals()
+        if not values:
+            raise StreamError("extremum() before any value was pushed")
+        best = values[0]
+        for v in values[1:]:
+            best = self._better(best, v)
+        return best
+
+    def worst_local(self) -> float:
+        values = self._all_locals()
+        if not values:
+            raise StreamError("worst_local() before any value was pushed")
+        worst = values[0]
+        for v in values[1:]:
+            worst = self._worse(worst, v)
+        return worst
+
+
+class _FoldTimeTracker(TimeIntervalExtremaTracker):
+    """The time tracker's two-argument folds, verbatim."""
+
+    def _better(self, a: float, b: float) -> float:
+        return min(a, b) if self._mode == "min" else max(a, b)
+
+    def _worse(self, a: float, b: float) -> float:
+        return max(a, b) if self._mode == "min" else min(a, b)
+
+    def push(self, time: float, value: float) -> None:
+        if self._last_time is not None and time < self._last_time:
+            raise StreamError(
+                f"timestamps must be non-decreasing: {time} after {self._last_time}"
+            )
+        self._last_time = time
+        index = int(time // self._slice_length)
+        if self._slices and self._slices[-1][0] == index:
+            old = self._slices[-1][1]
+            self._slices[-1] = (index, self._better(old, value))
+        else:
+            self._slices.append((index, value))
+        self._expire(time)
+
+    def extremum(self) -> float:
+        if not self._slices:
+            raise StreamError("extremum() before any value was pushed")
+        best = self._slices[0][1]
+        for _, value in self._slices:
+            best = self._better(best, value)
+        return best
+
+    def worst_local(self) -> float:
+        if not self._slices:
+            raise StreamError("worst_local() before any value was pushed")
+        worst = self._slices[0][1]
+        for _, value in self._slices:
+            worst = self._worse(worst, value)
+        return worst
+
+
+# Signed zeros and repeats make ties, where the kept element's sign shows.
+_TIE_HEAVY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestReductionsMatchFolds:
+    """The builtin ``min``/``max`` reductions answer, by ``repr``, what the
+    two-argument folds answered, ties on ``±0.0`` included."""
+
+    @given(
+        window=st.integers(1, 24),
+        num_intervals=st.integers(1, 8),
+        mode=st.sampled_from(["min", "max"]),
+        values=st.lists(_TIE_HEAVY, min_size=1, max_size=120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_interval_tracker(self, window, num_intervals, mode, values):
+        num_intervals = min(num_intervals, window)
+        new = IntervalExtremaTracker(window, num_intervals, mode)
+        old = _FoldIntervalTracker(window, num_intervals, mode)
+        for v in values:
+            new.push(v)
+            old.push(v)
+            assert repr(new.extremum()) == repr(old.extremum())
+            assert repr(new.worst_local()) == repr(old.worst_local())
+            assert repr(new._current) == repr(old._current)
+
+    @given(
+        duration=st.floats(0.5, 20.0),
+        num_intervals=st.integers(1, 8),
+        mode=st.sampled_from(["min", "max"]),
+        steps=st.lists(
+            st.tuples(st.floats(0.0, 3.0), _TIE_HEAVY), min_size=1, max_size=120
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_time_tracker(self, duration, num_intervals, mode, steps):
+        new = TimeIntervalExtremaTracker(duration, num_intervals, mode)
+        old = _FoldTimeTracker(duration, num_intervals, mode)
+        now = 0.0
+        for gap, v in steps:
+            now += gap
+            new.push(now, v)
+            old.push(now, v)
+            assert repr(new.extremum()) == repr(old.extremum())
+            assert repr(new.worst_local()) == repr(old.worst_local())
+            assert repr(list(new._slices)) == repr(list(old._slices))
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_signed_zero_ties_keep_the_oldest(self, mode):
+        # One value per interval, so each zero is its own local extremum.
+        t = IntervalExtremaTracker(window=4, num_intervals=4, mode=mode)
+        for v in (-0.0, 0.0, -0.0, 0.0):
+            t.push(v)
+        assert repr(t.extremum()) == "-0.0"
+        assert repr(t.worst_local()) == "-0.0"
+        timed = TimeIntervalExtremaTracker(duration=4.0, num_intervals=4, mode=mode)
+        for i, v in enumerate((0.0, -0.0)):
+            timed.push(float(i), v)
+        assert repr(timed.extremum()) == "0.0"
+        assert repr(timed.worst_local()) == "0.0"

@@ -4,9 +4,11 @@
 Replays the landmark-AVG COUNT workload over the ZIPF stream through
 :class:`repro.parallel.ShardedIngestor` at 1, 2, 4 and 8 workers and
 compares wall-clock throughput (ingest + merge + query) against the
-single-process ``update_many`` baseline.  Accuracy is reported alongside
-speed: the merged estimate, the exact answer and the coordinator's
-merge bound for every point on the curve.
+strongest single-process baseline: the columnar
+``update_columns(*records_to_columns(records), collect="none")`` path,
+the same one perfbench's ``parallel.speedup_vs_single`` divides by.
+Accuracy is reported alongside speed: the merged estimate, the exact
+answer and the coordinator's merge bound for every point on the curve.
 
 Speedup is a property of the machine as much as the code — the report
 records ``cpu_count`` and the start method, and the acceptance criterion
@@ -36,6 +38,7 @@ from repro.core.exact import exact_series  # noqa: E402
 from repro.core.query import CorrelatedQuery  # noqa: E402
 from repro.datasets.registry import load_dataset  # noqa: E402
 from repro.parallel import ShardedIngestor  # noqa: E402
+from repro.streams.columns import records_to_columns  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 OUTPUT = REPO / "benchmarks" / "BENCH_sharded_ingestion.json"
@@ -52,7 +55,7 @@ def run(size: int, rounds: int, partition: str) -> dict:
 
     def baseline() -> float:
         estimator = build_estimator(query, METHOD, num_buckets=NUM_BUCKETS)
-        estimator.update_many(records)
+        estimator.update_columns(*records_to_columns(records), collect="none")
         return estimator.estimate()
 
     base_elapsed, base_estimate = benchlib.best_of(rounds, baseline)
@@ -97,7 +100,8 @@ def run(size: int, rounds: int, partition: str) -> dict:
             "ShardedIngestor scaling curve on the landmark-AVG COUNT query "
             f"over {size} ZIPF tuples ({METHOD}, m={NUM_BUCKETS}, "
             f"{partition} partitioning): 1/2/4/8 worker processes vs the "
-            "single-process update_many baseline, best of "
+            "single-process columnar baseline (update_columns(*records_to_columns("
+            "records), collect='none')), best of "
             f"{rounds} rounds."
         ),
         "command": "PYTHONPATH=src python tools/bench_sharded.py",
