@@ -11,8 +11,9 @@ a :class:`~repro.core.keyed.KeyedEstimatorBank`, or any picklable object):
   :func:`repro.persistence.atomic_write_bytes` (temp file + fsync +
   ``os.replace``), so a crash mid-checkpoint leaves the previous
   generation intact, never a torn file;
-* **scheduling** — :meth:`maybe_save` checkpoints every ``every`` tuples;
-  :meth:`save` checkpoints on demand;
+* **scheduling** — :meth:`maybe_save` checkpoints every ``every`` tuples,
+  :meth:`save_final` once more at end of stream; :meth:`save`
+  checkpoints on demand;
 * **rotation** — the newest ``retain`` generations are kept on disk,
   older ones are deleted after a successful write (never before);
 * **offset tracking** — each generation records the stream offset (tuples
@@ -198,6 +199,18 @@ class CheckpointManager:
             return None
         return self.save(target, offset)
 
+    def save_final(self, target: object, offset: int, start: int = 0) -> Path | None:
+        """Take the end-of-stream generation of a run over ``[start, offset)``.
+
+        Only when a schedule is set, the run consumed something, and the
+        schedule has not already saved ``offset`` — so a later ``resume``
+        replays an empty gap instead of the whole tail.  Returns the path
+        when one was taken.
+        """
+        if self._every is None or offset <= start or self._last_saved == offset:
+            return None
+        return self.save(target, offset)
+
     def _rotate(self) -> None:
         """Drop generations beyond ``retain`` — only after a good write."""
         generations = self.generations()
@@ -298,10 +311,9 @@ class CheckpointManager:
 
         The schedule is applied after every tuple (offsets are absolute
         stream positions, so a resumed run checkpoints at the same
-        positions an uninterrupted one would), and one final on-demand
-        generation is taken at end of stream when a schedule is set — so
-        a later ``resume`` replays an empty gap instead of the whole tail.
-        Returns one ``update`` result per consumed tuple.
+        positions an uninterrupted one would), then :meth:`save_final`
+        takes the end-of-stream generation.  Returns one ``update`` result
+        per consumed tuple.
         """
         with self._tracer.span("recovery.run", start=float(start)) as span:
             update = target.update  # type: ignore[attr-defined]
@@ -311,7 +323,6 @@ class CheckpointManager:
                 outputs.append(update(record))
                 offset += 1
                 self.maybe_save(target, offset)
-            if self._every is not None and offset > start and self._last_saved != offset:
-                self.save(target, offset)
+            self.save_final(target, offset, start)
             span.set("consumed", float(offset - start))
         return outputs

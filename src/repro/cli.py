@@ -161,10 +161,6 @@ def _check_shard_exclusions(args: argparse.Namespace, checkpointing: bool = Fals
             "exclusive (per-update auditing needs the single-process "
             "update sequence)"
         )
-    if args.batch_size is not None and args.batch_size < 1:
-        raise ConfigurationError(
-            f"--batch-size must be >= 1, got {args.batch_size}"
-        )
     if getattr(args, "time_window", None) is not None:
         raise ConfigurationError(
             "--shards and --time-window are mutually exclusive (a time "
@@ -184,22 +180,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         audit_every = 100  # live scrapes should always carry audit gauges
     extra: dict[str, object] = {}
     if checkpointing:
-        if args.metrics:
-            raise ConfigurationError(
-                "--metrics and checkpointing are mutually exclusive (a resumed "
-                "run cannot splice per-update latency across processes)"
-            )
-        if serving or audit_every is not None:
-            raise ConfigurationError(
-                "--serve-metrics/--audit-every and checkpointing are mutually "
-                "exclusive (live instrumentation does not resume across "
-                "processes)"
-            )
-        if args.batch_size:
-            raise ConfigurationError(
-                "--batch-size and checkpointing are mutually exclusive (the "
-                "crash-safe path replays tuple by tuple)"
-            )
         directory = args.resume_from or args.checkpoint_dir
         if directory is None:
             raise ConfigurationError("--checkpoint-every needs --checkpoint-dir")
@@ -214,9 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "checkpoint_every": args.checkpoint_every,
             "resume": args.resume_from is not None,
         }
-    else:
-        # batch_size is a replay knob of the non-resumable path only.
-        extra = {"batch_size": args.batch_size}
     server, attach = _serve_context(args)
     on_instrument = None
     if attach is not None:
@@ -237,6 +214,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             audit_every=audit_every,
             audit_budget=args.audit_budget,
             on_instrument=on_instrument,
+            batch_size=args.batch_size,
             **extra,
         )
     finally:
@@ -668,8 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="batch_size",
         help="feed estimators through the columnar batch path in chunks of "
-        "N records; with --shards, sets the per-shard columnar chunk size "
-        "(ignored with --metrics, which clocks individual updates)",
+        "N records (composes with --checkpoint-every); with --shards, sets "
+        "the per-shard columnar chunk size (ignored with --metrics, which "
+        "clocks individual updates)",
     )
     run.add_argument(
         "--metrics",
@@ -834,6 +813,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        batch_size = getattr(args, "batch_size", None)
+        if batch_size is not None and batch_size < 1:
+            raise ConfigurationError(f"--batch-size must be >= 1, got {batch_size}")
         return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,12 +32,7 @@ from repro.checkpoint import CheckpointManager
 from repro.core.engine import methods_for_query
 from repro.core.query import CorrelatedQuery
 from repro.datasets.registry import load_dataset
-from repro.eval.tracker import (
-    InstrumentHook,
-    MethodResult,
-    evaluate_methods,
-    evaluate_methods_resumable,
-)
+from repro.eval.tracker import InstrumentHook, MethodResult, evaluate_methods
 from repro.exceptions import ConfigurationError
 from repro.streams.model import Record
 from repro.streams.ordering import as_is, partially_sorted_reverse, random_permutation
@@ -242,16 +237,12 @@ def run_experiment(
         spec = EXPERIMENTS[spec]
     if (checkpoint_every is not None or resume) and checkpoint_dir is None:
         raise ConfigurationError("checkpoint_every/resume need a checkpoint_dir")
-    if checkpoint_dir is not None and (obs or trace or audit_every is not None):
-        raise ConfigurationError(
-            "obs instrumentation and checkpointing are mutually exclusive "
-            "(a resumed run cannot splice per-update latency across processes)"
-        )
     buckets = spec.num_buckets if num_buckets is None else num_buckets
     panel_results = []
     for index, panel in enumerate(spec.panels):
         records = panel.load(size=size)
         wanted = list(methods) if methods is not None else methods_for_query(panel.query)
+        manager = None
         if checkpoint_dir is not None:
             manager = CheckpointManager(
                 Path(checkpoint_dir) / f"panel{index}",
@@ -261,27 +252,19 @@ def run_experiment(
                     f":{len(records)}"
                 ),
             )
-            results = evaluate_methods_resumable(
-                records,
-                panel.query,
-                manager,
-                methods=wanted,
-                num_buckets=buckets,
-                resume=resume,
-                **kwargs,
-            )
-        else:
-            results = evaluate_methods(
-                records,
-                panel.query,
-                methods=wanted,
-                num_buckets=buckets,
-                obs=obs,
-                trace=trace,
-                audit_every=audit_every,
-                audit_budget=audit_budget,
-                on_instrument=on_instrument,
-                **kwargs,
-            )
+        results = evaluate_methods(
+            records,
+            panel.query,
+            methods=wanted,
+            num_buckets=buckets,
+            obs=obs,
+            trace=trace,
+            audit_every=audit_every,
+            audit_budget=audit_budget,
+            on_instrument=on_instrument,
+            checkpoint=manager,
+            resume=resume,
+            **kwargs,
+        )
         panel_results.append(PanelResult(panel=panel, results=results))
     return panel_results

@@ -23,9 +23,8 @@ from time import perf_counter_ns
 import numpy as np
 
 from repro.checkpoint import CheckpointManager
-from repro.core.engine import build_estimator, methods_for_query
+from repro.core.engine import build_estimator, derive_domain, derive_universe, methods_for_query
 from repro.core.exact import exact_series
-from repro.core.multiplex import QueryEngine
 from repro.core.query import CorrelatedQuery
 from repro.eval.metrics import prefix_rmse_series, rmse, sliding_rmse_series
 from repro.exceptions import ConfigurationError, StreamError
@@ -74,16 +73,29 @@ class MethodResult:
         return self.obs.registry if self.obs is not None else None
 
 
+def _chunk_ends(stop: int, batch_size: int | None, every: int | None = None) -> list[int]:
+    """Absolute chunk ends in ``(0, stop]``: multiples of each period, then ``stop``.
+
+    Offsets are stream positions, not per-run counters, so a run resumed
+    from a generation cuts the same chunks an uninterrupted one would.
+    """
+    if batch_size is not None and batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    ends = {stop}
+    for period in (batch_size, every):
+        if period is not None:
+            ends.update(range(period, stop, period))
+    return sorted(ends)
+
+
 def _replay(
     estimator: StreamAlgorithm,
     records: Sequence[Record],
     registry: MetricsRegistry | None = None,
-    batch_size: int | None = None,
 ) -> list[float]:
-    """Drive every record through ``estimator``; optionally clock each update.
+    """Drive one chunk through ``estimator``; optionally clock each update.
 
-    Without a registry the records go through ``update_many`` (in
-    ``batch_size`` chunks when given, one batch otherwise) — the batched
+    Without a registry the chunk goes through one ``update_many`` call — the batched
     path is parity-tested to transcribe the scalar loop exactly.  The
     tracker always wants ``collect="all"`` (the default): its whole
     output is the per-record estimate series the error metrics consume,
@@ -97,12 +109,7 @@ def _replay(
         if update_many is None:  # third-party algorithm: scalar contract only
             update = estimator.update
             return [update(r) for r in records]
-        if not batch_size:
-            return update_many(records)
-        outputs: list[float] = []
-        for i in range(0, len(records), batch_size):
-            outputs.extend(update_many(records[i : i + batch_size]))
-        return outputs
+        return update_many(records)
     update = estimator.update
     observe = registry.timer(UPDATE_TIMER).observe_ns
     outputs = []
@@ -115,6 +122,37 @@ def _replay(
     return outputs
 
 
+#: An evaluation in flight, and what one checkpoint generation holds: per
+#: method, its estimator and the outputs it produced so far (the prefix a
+#: resumed run's error series still needs).
+EvaluationState = dict[str, tuple[StreamAlgorithm, list[float]]]
+
+
+def _feed(
+    state: EvaluationState,
+    records: Sequence[Record],
+    ends: Sequence[int],
+    start: int = 0,
+    registry: MetricsRegistry | None = None,
+    checkpoint: CheckpointManager | None = None,
+) -> None:
+    """The chunk loop: ``records[start:]`` into every method, chunk by chunk.
+
+    At each chunk end every method has consumed the same prefix; that is
+    where ``checkpoint`` applies its every-N schedule.
+    """
+    lo = start
+    for hi in ends:
+        if hi <= start:
+            continue
+        chunk = records[lo:hi]
+        for estimator, outputs in state.values():
+            outputs.extend(_replay(estimator, chunk, registry))
+        if checkpoint is not None:
+            checkpoint.maybe_save(state, hi)
+        lo = hi
+
+
 def _snapshot_state(estimator: object, registry: MetricsRegistry) -> None:
     """Copy the estimator's live-size gauges into ``state.<key>``."""
     state_fn = getattr(estimator, "obs_state", None)
@@ -122,6 +160,54 @@ def _snapshot_state(estimator: object, registry: MetricsRegistry) -> None:
         return
     for key, value in state_fn().items():
         registry.gauge(f"state.{key}").set(value)
+
+
+def _run_one(
+    records: Sequence[Record],
+    ends: Sequence[int],
+    query: CorrelatedQuery,
+    method: str,
+    num_buckets: int,
+    kwargs: dict[str, object],
+    sink: ObsSink | None = None,
+    tracer: Tracer | None = None,
+    audit_every: int | None = None,
+    audit_budget: float | None = None,
+    on_instrument: InstrumentHook | None = None,
+) -> list[float]:
+    """One method over the whole stream; returns its output series.
+
+    Builds the estimator (traced, and wrapped in an auditor when asked),
+    announces it to ``on_instrument``, replays every chunk inside one
+    ``eval.replay`` span when traced, and copies its final gauges into a
+    recording sink's registry.
+    """
+    if audit_every is not None and kwargs.get("time_window") is not None:
+        raise ConfigurationError(
+            "auditing drives update(record) and cannot wrap a time-window "
+            "estimator's (time, record) contract"
+        )
+    if tracer is not None:
+        kwargs = {**kwargs, "tracer": tracer}
+    estimator = build_estimator(
+        query, method, num_buckets=num_buckets, stream=records, sink=sink, **kwargs
+    )
+    if audit_every is not None:
+        estimator = AccuracyAuditor(
+            estimator, query, every=audit_every, budget=audit_budget, sink=sink, tracer=tracer
+        )
+    if on_instrument is not None:
+        on_instrument(method, sink, tracer)  # type: ignore[arg-type]
+    registry = sink.registry if isinstance(sink, RecordingSink) else None
+    outputs: list[float] = []
+    if tracer is not None:
+        with tracer.span("eval.replay", method=method, records=float(len(records))):
+            _feed({method: (estimator, outputs)}, records, ends, registry=registry)
+    else:
+        _feed({method: (estimator, outputs)}, records, ends, registry=registry)
+    if registry is not None:
+        _snapshot_state(estimator, registry)
+    return outputs
 
 
 def run_method(
@@ -138,167 +224,20 @@ def run_method(
 ) -> list[float]:
     """Replay ``records`` through one method; return its output series.
 
-    With ``tracer`` the estimator's lifecycle edges record spans and the
-    whole replay runs inside an ``eval.replay`` span; with ``audit_every``
-    the estimator is wrapped in an :class:`~repro.obs.audit.AccuracyAuditor`
-    auditing every that many tuples against ``audit_budget``.
+    With ``batch_size`` the records go through ``update_many`` in chunks
+    of that many (it must be at least 1).  With ``tracer`` the estimator's
+    lifecycle edges record spans and the whole replay runs inside an
+    ``eval.replay`` span; with ``audit_every`` the estimator is wrapped in
+    an :class:`~repro.obs.audit.AccuracyAuditor` auditing every that many
+    tuples against ``audit_budget``.
     """
     if not records:
         raise ConfigurationError("run_method needs a non-empty stream")
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    estimator = build_estimator(
-        query, method, num_buckets=num_buckets, stream=records, sink=sink, **kwargs
+    ends = _chunk_ends(len(records), batch_size)
+    return _run_one(
+        records, ends, query, method, num_buckets, kwargs,
+        sink, tracer, audit_every, audit_budget,
     )
-    if audit_every is not None:
-        if kwargs.get("time_window") is not None:
-            raise ConfigurationError(
-                "auditing drives update(record) and cannot wrap a "
-                "time-window estimator's (time, record) contract"
-            )
-        estimator = AccuracyAuditor(
-            estimator,
-            query,
-            every=audit_every,
-            budget=audit_budget,
-            sink=sink,
-            tracer=tracer,
-        )
-    registry = sink.registry if isinstance(sink, RecordingSink) else None
-    if tracer is not None:
-        with tracer.span("eval.replay", method=method, records=float(len(records))):
-            outputs = _replay(estimator, records, registry, batch_size=batch_size)
-    else:
-        outputs = _replay(estimator, records, registry, batch_size=batch_size)
-    if registry is not None:
-        _snapshot_state(estimator, registry)
-    return outputs
-
-
-@dataclass
-class ResumableEvaluation:
-    """The checkpointed unit of a resumable multi-method evaluation.
-
-    One :class:`~repro.core.multiplex.QueryEngine` fans the stream out to
-    every method under evaluation, and the per-method output series
-    collected so far ride along — so a run restored mid-stream still has
-    the prefix outputs its error series need.  The whole object is what a
-    :class:`~repro.checkpoint.CheckpointManager` pickles per generation.
-    """
-
-    engine: QueryEngine
-    outputs: dict[str, list[float]]
-
-    def update(self, record: Record) -> dict[str, float]:
-        """One stream step: fan out, then append every method's output."""
-        report = self.engine.update(record)
-        for name, series in self.outputs.items():
-            series.append(report[name])
-        return report
-
-
-def _package_results(
-    outputs_by_method: dict[str, Sequence[float]],
-    reference: np.ndarray,
-    query: CorrelatedQuery,
-    obs_by_method: dict[str, RecordingSink | None] | None = None,
-) -> dict[str, MethodResult]:
-    """Fold raw output series into :class:`MethodResult` objects."""
-    window = query.window
-    results: dict[str, MethodResult] = {}
-    for method, raw in outputs_by_method.items():
-        outputs = np.asarray(raw, dtype=np.float64)
-        if query.is_sliding:
-            assert window is not None
-            series = sliding_rmse_series(outputs, reference, window)
-        else:
-            series = prefix_rmse_series(outputs, reference)
-        results[method] = MethodResult(
-            method=method,
-            outputs=outputs,
-            exact=reference,
-            rmse_series=series,
-            obs=(obs_by_method or {}).get(method),
-        )
-    return results
-
-
-def evaluate_methods_resumable(
-    records: Sequence[Record],
-    query: CorrelatedQuery,
-    checkpoint: CheckpointManager,
-    methods: Sequence[str] | None = None,
-    num_buckets: int = 10,
-    exact: Sequence[float] | None = None,
-    resume: bool = False,
-    **kwargs: object,
-) -> dict[str, MethodResult]:
-    """Crash-safe variant of :func:`evaluate_methods`.
-
-    All methods run through one :class:`~repro.core.multiplex.QueryEngine`
-    whose state (plus the outputs collected so far) is checkpointed by
-    ``checkpoint`` on its every-N schedule, with one final generation at
-    end of stream.  With ``resume=True`` the newest intact generation is
-    restored first and only the gap ``records[offset:]`` is replayed; the
-    resulting estimates and error series are identical to an
-    uninterrupted run (each estimator's update sequence is the same).
-
-    The per-update latency instrumentation of ``obs=True`` is
-    intentionally not offered here — resumed timings would splice two
-    processes' clocks — so results carry ``obs=None``.
-    """
-    if not records:
-        raise ConfigurationError("evaluate_methods_resumable needs a non-empty stream")
-    if methods is None:
-        methods = methods_for_query(query)
-    wanted = list(methods)
-    reference = np.asarray(
-        exact if exact is not None else exact_series(records, query), dtype=np.float64
-    )
-
-    offline = [m for m in wanted if m in _OFFLINE_METHODS]
-    universe = [r.x for r in records] if offline else None
-    domain = None
-    if universe is not None:
-        low, high = min(universe), max(universe)
-        if high <= low:  # constant stream: widen the domain minimally
-            pad = max(abs(low) * 1e-9, 1e-12)
-            low, high = low - pad, high + pad
-        domain = (low, high)
-
-    def fresh() -> ResumableEvaluation:
-        engine = QueryEngine(num_buckets=num_buckets)
-        for method in wanted:
-            engine.register(
-                method,
-                query,
-                method=method,
-                num_buckets=num_buckets,
-                domain=domain,
-                universe=universe,
-                **kwargs,
-            )
-        return ResumableEvaluation(engine, {method: [] for method in wanted})
-
-    if resume:
-        # No fresh fallback: an explicit resume of an empty directory is a
-        # user error (wrong path), not a licence to start over silently.
-        state, offset = checkpoint.resume(records)
-        if not isinstance(state, ResumableEvaluation):
-            raise StreamError(
-                f"checkpoint in {checkpoint.directory} does not hold a "
-                f"resumable evaluation (got {type(state).__name__})"
-            )
-        if list(state.outputs) != wanted:
-            raise StreamError(
-                f"checkpoint in {checkpoint.directory} evaluates methods "
-                f"{list(state.outputs)}, but this run asked for {wanted}"
-            )
-    else:
-        state, offset = fresh(), 0
-
-    checkpoint.run(state, records, start=offset)
-    return _package_results(state.outputs, reference, query)
 
 
 def evaluate_methods(
@@ -313,9 +252,20 @@ def evaluate_methods(
     audit_every: int | None = None,
     audit_budget: float | None = None,
     on_instrument: InstrumentHook | None = None,
+    checkpoint: CheckpointManager | None = None,
+    resume: bool = False,
     **kwargs: object,
 ) -> dict[str, MethodResult]:
     """Replay ``records`` through several methods against the exact oracle.
+
+    The stream is fed in chunks that end at absolute stream offsets: every
+    multiple of ``batch_size`` and of the checkpoint period, and the end
+    of the stream.  At each chunk end every method has consumed the same
+    prefix, and ``checkpoint`` saves the methods' estimators plus their
+    outputs so far on its every-N schedule, then once more at end of
+    stream.  Outputs and error series do not depend on where the chunks
+    are cut, so a batched, checkpointed or resumed run gives exactly the
+    answers of a plain one.
 
     Parameters
     ----------
@@ -332,10 +282,12 @@ def evaluate_methods(
     obs:
         Attach a :class:`~repro.obs.sink.RecordingSink` per method and
         profile per-update latency; results carry the sink in ``.obs``.
+        Instrumented methods run one after another, each over the whole
+        stream.
     batch_size:
         Feed each method through ``update_many`` in chunks of this many
-        records (None = one batch per stream).  Ignored under ``obs``,
-        which needs the scalar loop to clock individual updates.
+        records (at least 1; None = no batch cuts).  Under ``obs`` every
+        update is still clocked one by one.
     trace:
         Give each method a :class:`~repro.obs.trace.Tracer` exporting into
         its recording sink: lifecycle spans (``kernel.*``, ``eval.replay``)
@@ -350,89 +302,102 @@ def evaluate_methods(
         Called once per method with ``(method, sink, tracer)`` right after
         construction — the seam the CLI uses to expose live registries on
         ``/metrics`` while the replay is still running.
+    checkpoint:
+        A :class:`~repro.checkpoint.CheckpointManager` that snapshots the
+        evaluation at chunk ends.  Mutually exclusive with ``obs``,
+        ``trace`` and ``audit_every``: a resumed run cannot splice
+        per-update latency across processes.
+    resume:
+        Restore the newest intact generation of ``checkpoint`` first and
+        replay only the gap ``records[offset:]``.  An empty checkpoint
+        directory raises :class:`~repro.exceptions.StreamError`.
     kwargs:
         Extra configuration for focused estimators.
     """
     if not records:
         raise ConfigurationError("evaluate_methods needs a non-empty stream")
-    if methods is None:
-        methods = methods_for_query(query)
-    if audit_every is not None and kwargs.get("time_window") is not None:
-        raise ConfigurationError(
-            "auditing drives update(record) and cannot wrap a time-window "
-            "estimator's (time, record) contract"
-        )
     instrumented = obs or trace or audit_every is not None
+    if checkpoint is not None and instrumented:
+        raise ConfigurationError(
+            "obs instrumentation and checkpointing are mutually exclusive "
+            "(a resumed run cannot splice per-update latency across processes)"
+        )
+    if resume and checkpoint is None:
+        raise ConfigurationError("resume needs a checkpoint manager")
+    wanted = list(methods) if methods is not None else methods_for_query(query)
+    ends = _chunk_ends(
+        len(records), batch_size, checkpoint.every if checkpoint is not None else None
+    )
     reference = np.asarray(
         exact if exact is not None else exact_series(records, query), dtype=np.float64
     )
 
     # Offline knowledge (domain/universe) is derived in ONE scan here and
     # shared, instead of once per baseline inside build_estimator.
-    offline = [m for m in methods if m in _OFFLINE_METHODS]
-    universe: list[float] | None = None
-    domain: tuple[float, float] | None = None
-    scans_saved = 0
+    shared = dict(kwargs)
+    offline = [m for m in wanted if m in _OFFLINE_METHODS]
     if offline:
-        universe = [r.x for r in records]
-        low, high = min(universe), max(universe)
-        if high <= low:  # constant stream: widen the domain minimally
-            pad = max(abs(low) * 1e-9, 1e-12)
-            low, high = low - pad, high + pad
-        domain = (low, high)
-        scans_saved = len(offline) - 1
+        shared["universe"] = derive_universe(records)
+        shared["domain"] = derive_domain(records)
+
+    sinks: dict[str, RecordingSink] = {}
+    outputs: dict[str, list[float]] = {}
+    if instrumented:
+        for method in wanted:
+            sink = sinks[method] = RecordingSink()
+            tracer = Tracer(sink) if trace else None
+            outputs[method] = _run_one(
+                records, ends, query, method, num_buckets, shared,
+                sink, tracer, audit_every, audit_budget, on_instrument,
+            )
+            sink.registry.counter("eval.domain_scans_saved").inc(
+                float(max(len(offline) - 1, 0))
+            )
+    else:
+        if checkpoint is not None and resume:
+            # No fresh fallback: an explicit resume of an empty directory is a
+            # user error (wrong path), not a licence to start over silently.
+            state, start = checkpoint.resume(records)
+            if not isinstance(state, dict):
+                raise StreamError(
+                    f"checkpoint in {checkpoint.directory} does not hold a "
+                    f"resumable evaluation (got {type(state).__name__})"
+                )
+            if list(state) != wanted:
+                raise StreamError(
+                    f"checkpoint in {checkpoint.directory} evaluates methods "
+                    f"{list(state)}, but this run asked for {wanted}"
+                )
+        else:
+            state = {
+                method: (
+                    build_estimator(
+                        query, method, num_buckets=num_buckets, stream=records, **shared
+                    ),
+                    [],
+                )
+                for method in wanted
+            }
+            start = 0
+        _feed(state, records, ends, start, checkpoint=checkpoint)
+        if checkpoint is not None:
+            checkpoint.save_final(state, len(records), start)
+        outputs = {method: series for method, (_, series) in state.items()}
 
     window = query.window
     results: dict[str, MethodResult] = {}
-    for method in methods:
-        sink = RecordingSink() if instrumented else None
-        tracer = Tracer(sink) if trace else None
-        method_kwargs = dict(kwargs)
-        if tracer is not None:
-            method_kwargs["tracer"] = tracer
-        estimator = build_estimator(
-            query,
-            method,
-            num_buckets=num_buckets,
-            stream=records,
-            domain=domain,
-            universe=universe,
-            sink=sink,
-            **method_kwargs,
-        )
-        if audit_every is not None:
-            estimator = AccuracyAuditor(
-                estimator,
-                query,
-                every=audit_every,
-                budget=audit_budget,
-                sink=sink,
-                tracer=tracer,
-            )
-        if on_instrument is not None:
-            on_instrument(method, sink, tracer)
-        registry = sink.registry if sink is not None else None
-        if tracer is not None:
-            with tracer.span(
-                "eval.replay", method=method, records=float(len(records))
-            ):
-                raw = _replay(estimator, records, registry, batch_size=batch_size)
-        else:
-            raw = _replay(estimator, records, registry, batch_size=batch_size)
-        outputs = np.asarray(raw, dtype=np.float64)
-        if registry is not None:
-            _snapshot_state(estimator, registry)
-            registry.counter("eval.domain_scans_saved").inc(float(scans_saved))
+    for method, raw in outputs.items():
+        series_out = np.asarray(raw, dtype=np.float64)
         if query.is_sliding:
             assert window is not None
-            series = sliding_rmse_series(outputs, reference, window)
+            series = sliding_rmse_series(series_out, reference, window)
         else:
-            series = prefix_rmse_series(outputs, reference)
+            series = prefix_rmse_series(series_out, reference)
         results[method] = MethodResult(
             method=method,
-            outputs=outputs,
+            outputs=series_out,
             exact=reference,
             rmse_series=series,
-            obs=sink,
+            obs=sinks.get(method),
         )
     return results

@@ -30,6 +30,19 @@ class TestRunMethod:
 
         assert run_method(records, LM_MIN, "exact") == exact_series(records, LM_MIN)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_batch_size_rejected(self, rng, batch_size):
+        records = make_records(rng.uniform(1, 100, size=50))
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            run_method(records, LM_MIN, "piecemeal-uniform", batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 50, 64])
+    def test_batch_size_does_not_change_outputs(self, rng, batch_size):
+        records = make_records(rng.uniform(1, 100, size=50))
+        plain = run_method(records, LM_MIN, "piecemeal-uniform")
+        batched = run_method(records, LM_MIN, "piecemeal-uniform", batch_size=batch_size)
+        assert [repr(v) for v in batched] == [repr(v) for v in plain]
+
 
 class TestEvaluateMethods:
     def test_default_methods_applicable(self, rng):
@@ -70,3 +83,9 @@ class TestEvaluateMethods:
         results = evaluate_methods(records, LM_MIN, methods=["equiwidth"])
         result = results["equiwidth"]
         assert result.final_rmse == result.rmse_series[-1]
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_batch_size_rejected(self, rng, batch_size):
+        records = make_records(rng.uniform(1, 100, size=30))
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            evaluate_methods(records, LM_MIN, batch_size=batch_size)

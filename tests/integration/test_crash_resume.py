@@ -20,6 +20,11 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
+#: F7's whole USAGE stream.  At 4000 tuples the victim was killed after
+#: 250-2000 of them on a 2-vCPU host; five times the length keeps a run
+#: that outpaces the poll-and-kill loop far from finishing.
+STREAM_LENGTH = 20000
+
 RUN = [
     sys.executable,
     "-m",
@@ -27,7 +32,7 @@ RUN = [
     "run",
     "F7",
     "--size",
-    "4000",
+    str(STREAM_LENGTH),
     "--methods",
     "piecemeal-uniform",
     "--checkpoint-every",
@@ -74,9 +79,12 @@ def test_sigkill_mid_stream_then_resume_matches_uninterrupted(tmp_path):
         if victim.poll() is None:
             victim.kill()
 
-    assert list(crash_dir.glob("panel0/ckpt-*.ckpt")), (
-        "no checkpoint was written before the process exited"
-    )
+    generations = sorted(crash_dir.glob("panel0/ckpt-*.ckpt"))
+    assert generations, "no checkpoint was written before the process exited"
+    # The run must really have died mid-stream: a victim that finishes
+    # before the signal lands would make the resume below vacuous.
+    assert victim.returncode == -signal.SIGKILL
+    assert int(generations[-1].stem.split("-")[1]) < STREAM_LENGTH
 
     resumed = _run_cli([*RUN, "--resume-from", str(crash_dir)])
     assert resumed.returncode == 0, resumed.stderr

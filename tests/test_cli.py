@@ -292,6 +292,40 @@ class TestCheckpointFlags:
         assert code == 2
         assert "no checkpoint" in capsys.readouterr().err
 
+    def test_batched_checkpointed_run_and_resume_match_plain_run(self, tmp_path, capsys):
+        run = ["run", "F7", "--size", "400"]  # every F7 method, offline ones too
+        assert main(run) == 0
+        plain = capsys.readouterr().out
+        batched = [*run, "--batch-size", "64"]
+        assert main([*batched, "--checkpoint-every", "100", "--checkpoint-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == plain
+        generations = sorted((tmp_path / "panel0").glob("ckpt-*.ckpt"))
+        assert [p.name for p in generations] == [
+            "ckpt-000000000200.ckpt", "ckpt-000000000300.ckpt", "ckpt-000000000400.ckpt"
+        ]
+        assert main([*batched, "--resume-from", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == plain
+        for path in generations[1:]:  # a crash after the offset-200 generation
+            path.unlink()
+        assert main([*batched, "--resume-from", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == plain
+
+
+class TestBatchSizeFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "F7", "--size", "400"],
+            ["estimate", "--dataset", "USAGE", "--independent", "min", "--size", "400"],
+            ["estimate", "--dataset", "USAGE", "--time-window", "50", "--size", "400"],
+        ],
+    )
+    @pytest.mark.parametrize("batch_size", ["0", "-5"])
+    def test_nonpositive_batch_size_rejected(self, capsys, argv, batch_size):
+        code = main([*argv, "--batch-size", batch_size])
+        assert code == 2
+        assert f"--batch-size must be >= 1, got {batch_size}" in capsys.readouterr().err
+
 
 class TestShardFlags:
     ESTIMATE = [

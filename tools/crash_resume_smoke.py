@@ -7,7 +7,11 @@ first generation lands, one ``--resume-from`` run whose stdout must match
 the reference byte for byte.  Exit status 0 = recovered identically,
 1 = any divergence (with a diff-style report on stderr).
 
-Usage: python tools/crash_resume_smoke.py [--size 4000] [--every 250]
+The victim must die by SIGKILL with its newest generation short of the
+stream's end; a run that finished before the signal landed would make the
+resume vacuous, so it fails the smoke.
+
+Usage: python tools/crash_resume_smoke.py [--size 20000] [--every 250]
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def _base_argv(size: int, every: int) -> list[str]:
 def main() -> int:
     """Run the crash/resume smoke and return a process exit status."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--size", type=int, default=4000)
+    parser.add_argument("--size", type=int, default=20000)
     parser.add_argument("--every", type=int, default=250)
     args = parser.parse_args()
     base = _base_argv(args.size, args.every)
@@ -90,7 +94,25 @@ def main() -> int:
         if not generations:
             print("smoke: FAIL — no checkpoint written before exit", file=sys.stderr)
             return 1
-        print(f"smoke: killed with {len(generations)} generation(s) on disk", flush=True)
+        if victim.returncode != -signal.SIGKILL:
+            print(
+                f"smoke: FAIL — victim exited with {victim.returncode}, not SIGKILL",
+                file=sys.stderr,
+            )
+            return 1
+        newest = int(generations[-1].split("-")[1].split(".")[0])
+        if newest >= args.size:
+            print(
+                f"smoke: FAIL — newest generation is at offset {newest}, the "
+                "end of the stream: the victim finished before the kill",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            f"smoke: killed at offset {newest} of {args.size} with "
+            f"{len(generations)} generation(s) on disk",
+            flush=True,
+        )
 
         print("smoke: resuming ...", flush=True)
         resumed = subprocess.run(
