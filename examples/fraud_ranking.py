@@ -1,9 +1,11 @@
-"""Per-customer fraud screening with a keyed estimator bank.
+"""Per-customer fraud screening with one estimator per customer.
 
 The paper's opening scenario: "maintain a variety of statistical summary
 information about a large number of customers in an online fashion".  This
 example keeps one constant-space correlated-aggregate estimator *per
-customer* and ranks customers by it as the call stream flows by.
+customer* — a ``GatedKeyedBank`` with ``promote_threshold=1``, which gives
+every key its estimator on first sight — and ranks customers by it as the
+call stream flows by.
 
 The screening signal is the paper-style query (written in its notation and
 parsed by :func:`repro.parse_query`)::
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import KeyedEstimatorBank, parse_query
+from repro import GatedKeyedBank, parse_query
 from repro.streams.model import Record
 
 CUSTOMERS = 40
@@ -46,7 +48,9 @@ def synth_call(rng: np.random.Generator, customer: str) -> Record:
 def main() -> None:
     rng = np.random.default_rng(42)
     query = parse_query(QUERY_TEXT)
-    bank = KeyedEstimatorBank(query, method="piecemeal-uniform", num_buckets=8)
+    bank = GatedKeyedBank(
+        query, method="piecemeal-uniform", num_buckets=8, promote_threshold=1
+    )
 
     customers = [f"cust-{i:02d}" for i in range(CUSTOMERS)]
     print(f"query per customer: {query.describe()}")

@@ -23,7 +23,6 @@ figure reproduction of the paper's evaluation.
 from repro.checkpoint import CheckpointManager
 from repro.core.engine import METHODS, build_estimator
 from repro.core.exact import ExactOracle, exact_series
-from repro.core.keyed import KeyedEstimatorBank
 from repro.core.multiplex import QueryEngine
 from repro.keyed import GatedKeyedBank, KeyEstimate, SpaceSavingAdmission
 from repro.core.parser import parse_query
@@ -46,7 +45,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CheckpointManager",
     "CorrelatedQuery",
-    "KeyedEstimatorBank",
     "GatedKeyedBank",
     "KeyEstimate",
     "SpaceSavingAdmission",

@@ -5,7 +5,7 @@ processor that crashes cannot re-read the past — whatever state the
 estimator carried must come back from durable storage.  A
 :class:`CheckpointManager` owns that lifecycle for any snapshottable
 target (a single estimator, a :class:`~repro.core.multiplex.QueryEngine`,
-a :class:`~repro.core.keyed.KeyedEstimatorBank`, or any picklable object):
+a :class:`~repro.keyed.GatedKeyedBank`, or any picklable object):
 
 * **atomic writes** — every generation goes through
   :func:`repro.persistence.atomic_write_bytes` (temp file + fsync +

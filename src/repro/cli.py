@@ -50,6 +50,7 @@ from repro.eval.report import (
     format_table,
     format_tracking_table,
 )
+from repro.eval.tracker import check_checkpoint_exclusions
 from repro.exceptions import ReproError
 from repro.obs.exposition import (
     format_metrics_table,
@@ -178,6 +179,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     audit_every = args.audit_every
     if serving and audit_every is None:
         audit_every = 100  # live scrapes should always carry audit gauges
+    check_checkpoint_exclusions(
+        checkpointing, obs=args.metrics, trace=serving, audit_every=audit_every
+    )
     extra: dict[str, object] = {}
     if checkpointing:
         directory = args.resume_from or args.checkpoint_dir

@@ -27,7 +27,6 @@ from repro.core.exact import ExactOracle, exact_series
 from repro.core.heuristics import AverageHeuristic, ExtremaHeuristic
 from repro.core.landmark_avg import LandmarkAvgEstimator
 from repro.core.landmark_extrema import LandmarkExtremaEstimator
-from repro.core.keyed import KeyedEstimatorBank
 from repro.core.multiplex import QueryEngine
 from repro.core.parser import parse_query
 from repro.core.query import CorrelatedQuery
@@ -37,7 +36,6 @@ from repro.core.time_sliding import TimeSlidingEstimator
 
 __all__ = [
     "CorrelatedQuery",
-    "KeyedEstimatorBank",
     "QueryEngine",
     "parse_query",
     "LandmarkExtremaEstimator",

@@ -240,6 +240,22 @@ def run_method(
     )
 
 
+def check_checkpoint_exclusions(
+    checkpointing: bool, *, obs: bool, trace: bool, audit_every: int | None
+) -> None:
+    """Refuse checkpointing combined with per-update instrumentation.
+
+    The one copy of the rule, so a front end can apply it before it
+    starts anything (a metrics server, say) that the refusal would leave
+    running.
+    """
+    if checkpointing and (obs or trace or audit_every is not None):
+        raise ConfigurationError(
+            "obs instrumentation and checkpointing are mutually exclusive "
+            "(a resumed run cannot splice per-update latency across processes)"
+        )
+
+
 def evaluate_methods(
     records: Sequence[Record],
     query: CorrelatedQuery,
@@ -317,11 +333,9 @@ def evaluate_methods(
     if not records:
         raise ConfigurationError("evaluate_methods needs a non-empty stream")
     instrumented = obs or trace or audit_every is not None
-    if checkpoint is not None and instrumented:
-        raise ConfigurationError(
-            "obs instrumentation and checkpointing are mutually exclusive "
-            "(a resumed run cannot splice per-update latency across processes)"
-        )
+    check_checkpoint_exclusions(
+        checkpoint is not None, obs=obs, trace=trace, audit_every=audit_every
+    )
     if resume and checkpoint is None:
         raise ConfigurationError("resume needs a checkpoint manager")
     wanted = list(methods) if methods is not None else methods_for_query(query)

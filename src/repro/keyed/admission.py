@@ -97,7 +97,9 @@ class SpaceSavingAdmission:
         self._slots: dict[Hashable, Slot] = {}
         #: Lazy min-heap of (count, key) candidates; counts only grow, so a
         #: popped entry is either current (a true minimum) or stale and
-        #: replaced by a fresh one.  Entries are pushed on admission only.
+        #: replaced by a fresh one.  Entries are pushed on admission;
+        #: entries of departed slots are dropped when popped, or in bulk
+        #: once the heap outgrows twice the capacity.
         self._heap: list[tuple[int, int, Hashable]] = []
         self._heap_seq = 0  # tiebreaker so unorderable keys never compare
         self._ceiling = 0
@@ -154,6 +156,24 @@ class SpaceSavingAdmission:
     def _push(self, key: Hashable, count: int) -> None:
         self._heap_seq += 1
         heapq.heappush(self._heap, (count, self._heap_seq, key))
+        if len(self._heap) > 2 * self._capacity:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One fresh entry per monitored slot, in slot order.
+
+        Promotions and evictions free slots without popping their heap
+        entries, and :meth:`_pop_min` only drains the heap once the
+        sketch is full, so a sketch with free slots would otherwise keep
+        every departed key's entry forever.  Rebuilt in place: callers
+        may hold a reference to the list.
+        """
+        heap = self._heap
+        heap.clear()
+        for key, slot in self._slots.items():
+            self._heap_seq += 1
+            heap.append((slot.count, self._heap_seq, key))
+        heapq.heapify(heap)
 
     def _pop_min(self) -> tuple[Hashable, Slot]:
         """Remove and return the slot with the (current) minimum count."""
@@ -208,11 +228,11 @@ class SpaceSavingAdmission:
                 self._ceiling = victim.count
         error = self._ceiling
         slot = Slot(
-            count=error + 1,
-            error=error,
-            mass=abs_y,
-            mass_error=error * self._max_abs_y,
-            buffer=[record] if self._buffer_limit else [],
+            error + 1,  # count
+            error,
+            abs_y,  # mass
+            error * self._max_abs_y,  # mass_error
+            [record] if self._buffer_limit else [],  # buffer
         )
         self._slots[key] = slot
         self._push(key, slot.count)

@@ -1,30 +1,42 @@
-"""Heavy-hitter-gated keyed bank: million-key multi-tenancy.
+"""The keyed bank: one correlated aggregate per group-by key.
 
-:class:`~repro.core.keyed.KeyedEstimatorBank` allocates a full focused
-estimator per key — the right shape up to thousands of keys, untenable at
-the millions-of-users scale the motivating applications (per-customer
-fraud screening, per-interface monitoring) actually run at.  Following
-the correlated-heavy-hitter compositions of Lahiri/Mukherjee/Tirthapura
-(arXiv:1310.1161) and Epicoco/Cafaro/Pulimeno (arXiv:1611.04942), a
-:class:`GatedKeyedBank` puts a Space-Saving admission sketch in front of
-the estimator bank:
+The paper's motivating applications keep a summary "about a large number
+of customers" (telephone fraud) or per router interface (network
+monitoring) — one correlated aggregate per group-by key.
+:class:`GatedKeyedBank` owns that fan-out.  Following the
+correlated-heavy-hitter compositions of Lahiri/Mukherjee/Tirthapura
+(arXiv:1310.1161) and Epicoco/Cafaro/Pulimeno (arXiv:1611.04942), it puts
+a Space-Saving admission sketch in front of the per-key estimators:
 
-* every record first hits the :class:`~repro.keyed.admission.
-  SpaceSavingAdmission` counters (bounded: ``sketch_capacity`` slots);
-* a key whose *guaranteed* hits (the sketch's under-count) cross
+* every record of a key without an estimator first hits the
+  :class:`~repro.keyed.admission.SpaceSavingAdmission` counters
+  (bounded: ``sketch_capacity`` slots);
+* a key whose *guaranteed* hits (the sketch's under-count) reach
   ``promote_threshold`` is **promoted**: a full estimator is built and
   the sketch-held replay buffer is fed through it — exactly (the promoted
   estimator is float-for-float the standalone one) when the sketch never
   charged the key an inherited error, with an explicit ``missed`` bound
   otherwise;
-* promoted estimators are charged against an optional ``memory_budget``
-  (bytes, measured by pickled size); when promotion would overrun it,
-  the coldest promoted keys (least-recently updated) are **demoted**
-  back into the sketch with their exactly-known lifetime counters;
-* :meth:`estimate` and :meth:`top` answer for *every* key — a point value
-  for promoted keys, and for tail keys a conservative point estimate
-  with an explicit ``[low, high]`` interval derived from the sketch's
-  over/under-count guarantees (see :meth:`estimate_interval`).
+* under an optional ``memory_budget`` (bytes, measured by pickled size)
+  a promotion that would overrun it first **demotes** the coldest
+  promoted keys (least-recently updated) back into the sketch with their
+  exactly-known lifetime counters;
+* :meth:`~GatedKeyedBank.estimate` and :meth:`~GatedKeyedBank.top`
+  answer for *every* key — a point value for promoted keys, and for tail
+  keys a conservative point estimate with an explicit ``[low, high]``
+  interval derived from the sketch's over/under-count guarantees (see
+  :meth:`~GatedKeyedBank.estimate_interval`).
+
+``GatedKeyedBank(query, promote_threshold=1)`` with no budget is the
+one-estimator-per-key configuration: every key gets its estimator on
+first sight, and every answer is float-for-float that of a standalone
+estimator fed the key's records — the right shape up to thousands of
+keys.  The default threshold with a ``memory_budget`` is the
+millions-of-keys shape.
+
+Only *online* methods are accepted (:data:`ONLINE_METHODS`, or
+``equiwidth`` with an explicit ``domain``): the offline baselines need
+the full stream per key up front, which contradicts lazy keying.
 
 Lifecycle transitions emit ``keyed.promote`` / ``keyed.demote`` /
 ``keyed.evict`` events through the standard obs sink, and the whole bank
@@ -37,21 +49,89 @@ from __future__ import annotations
 import math
 import pickle
 from collections import deque
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 
-from repro.core.engine import build_estimator
-from repro.core.keyed import check_online_method, key_gauge_names, rank_estimates
+from repro.core.engine import FOCUSED_METHODS, build_estimator
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
 from repro.keyed.admission import SpaceSavingAdmission, Slot
 from repro.obs.sink import NULL_SINK, ObsSink
-from repro.streams.model import Record, StreamAlgorithm
+from repro.streams.model import Record, StreamAlgorithm, ensure_finite
 
-#: Updates between byte-accounting refresh passes.
+#: Methods that need no offline knowledge and can be created lazily per key.
+ONLINE_METHODS = FOCUSED_METHODS + (
+    "streaming-equidepth",
+    "heuristic-reset",
+    "heuristic-continue",
+    "heuristic-running",
+)
+
+#: Updates between byte-accounting refresh passes (budgeted banks only).
 _ACCOUNTING_EVERY = 4096
 #: Promoted estimators re-measured per refresh pass.
 _REFRESH_BATCH = 32
+#: Estimators pickled per unbudgeted ``promoted_bytes`` read.
+_MEMORY_SAMPLE = 8
+
+
+def check_online_method(method: str, kwargs: dict[str, object]) -> None:
+    """Reject methods that cannot be instantiated lazily per key."""
+    if method not in ONLINE_METHODS and not (
+        method == "equiwidth" and "domain" in kwargs
+    ):
+        raise ConfigurationError(
+            f"keyed banks need an online method ({ONLINE_METHODS}) or "
+            "equiwidth with an explicit domain=; offline baselines cannot "
+            f"be created lazily per key (got {method!r})"
+        )
+
+
+def rank_estimates(
+    items: Iterable[tuple[Hashable, float]], n: int | None = None
+) -> list[tuple[Hashable, float]]:
+    """Rank ``(key, estimate)`` pairs by estimate, NaN-safe and stable.
+
+    ``sorted(..., reverse=True)`` over raw floats lets a single NaN land
+    anywhere (every comparison against NaN is False, so its final position
+    depends on the sort's merge order).  Here NaN estimates always sort
+    *last*, in first-seen order; finite ties also keep first-seen order
+    (Python's sort is stable, including under ``reverse=True``).
+    """
+    finite: list[tuple[Hashable, float]] = []
+    nans: list[tuple[Hashable, float]] = []
+    for pair in items:
+        (nans if math.isnan(pair[1]) else finite).append(pair)
+    finite.sort(key=lambda pair: pair[1], reverse=True)
+    ranked = finite + nans
+    return ranked if n is None else ranked[:n]
+
+
+def escape_key_name(key: Hashable) -> str:
+    """Render ``key`` for a dotted gauge name without colliding with ``.``.
+
+    The gauge namespace uses ``.`` as its hierarchy separator, so a key
+    containing one (``"a.b"``) would silently alias another key's child
+    gauge.  Backslash-escape both the escape character and the separator.
+    """
+    return str(key).replace("\\", "\\\\").replace(".", "\\.")
+
+
+def key_gauge_names(keys: Iterable[Hashable]) -> dict[Hashable, str]:
+    """Deterministic, collision-free gauge names for every key.
+
+    Distinct keys with identical renderings (``1`` and ``"1"`` both print
+    as ``1``) get ``#2``, ``#3``, ... suffixes in first-seen order, so two
+    keys never write the same gauge.
+    """
+    names: dict[Hashable, str] = {}
+    used: dict[str, int] = {}
+    for key in keys:
+        base = escape_key_name(key)
+        seen = used.get(base, 0)
+        used[base] = seen + 1
+        names[key] = base if seen == 0 else f"{base}#{seen + 1}"
+    return names
 
 
 @dataclass(frozen=True)
@@ -80,23 +160,6 @@ class KeyEstimate:
         return self.kind == "promoted" and self.missed == 0
 
 
-@dataclass
-class _Promoted:
-    """Bank-side bookkeeping for one promoted key."""
-
-    estimator: StreamAlgorithm
-    #: Records this estimator has actually consumed (replayed + routed).
-    hits: int
-    #: Sum of ``|y|`` over those records.
-    mass: float
-    #: Upper bound on pre-promotion records the estimator never saw.
-    missed: int
-    #: Bank sequence number of the last routed record (LRU demotion key).
-    last_seq: int
-    #: Pickled size at last measurement (byte accounting).
-    nbytes: int
-
-
 class GatedKeyedBank:
     """Admission-gated per-key estimators with a sketch-bounded tail.
 
@@ -105,8 +168,8 @@ class GatedKeyedBank:
     query:
         The correlated aggregate every key computes.
     method:
-        An online method name (same contract as
-        :class:`~repro.core.keyed.KeyedEstimatorBank`).
+        An online method name (see :data:`ONLINE_METHODS`), or
+        ``'equiwidth'`` together with an explicit ``domain``.
     num_buckets:
         Bucket budget per promoted key.
     sketch_capacity:
@@ -115,7 +178,8 @@ class GatedKeyedBank:
         estimators.
     promote_threshold:
         Guaranteed (under-count) hits a key needs before it is promoted
-        to a full estimator.
+        to a full estimator; 1 gives every key its estimator on first
+        sight (one estimator per key).
     replay_buffer:
         Records buffered per monitored key for promotion replay; defaults
         to ``promote_threshold`` (enough for an exact replay of every
@@ -125,6 +189,7 @@ class GatedKeyedBank:
         estimators; crossing it demotes the least-recently-updated keys.
         Must fit at least one estimator — a promotion that cannot fit
         even after demoting everything else is deferred, not crashed.
+        Without a budget the update path measures nothing.
     sink:
         Optional :class:`~repro.obs.sink.ObsSink` receiving
         ``keyed.promote`` / ``keyed.demote`` / ``keyed.evict`` events.
@@ -182,7 +247,22 @@ class GatedKeyedBank:
         self._admission = SpaceSavingAdmission(
             sketch_capacity, buffer_limit=replay_buffer
         )
-        self._promoted: dict[Hashable, _Promoted] = {}
+        # Per promoted key, one dict per field rather than one record
+        # object: a per-key record is one more garbage-collected object
+        # per key, and with one estimator per key it costs extra full
+        # collection passes over the whole bank.
+        self._promoted: dict[Hashable, StreamAlgorithm] = {}
+        #: Records each estimator has actually consumed (replayed + routed).
+        self._hits: dict[Hashable, int] = {}
+        #: Sum of ``|y|`` over those records.
+        self._mass: dict[Hashable, float] = {}
+        #: Upper bound on pre-promotion records the estimator never saw.
+        self._missed: dict[Hashable, int] = {}
+        #: Budgeted banks only: bank sequence number of the last routed
+        #: record (the LRU demotion order) and pickled size at last
+        #: measurement.
+        self._last_seq: dict[Hashable, int] = {}
+        self._nbytes: dict[Hashable, int] = {}
         self._promoted_bytes = 0
         self._refresh_queue: deque[Hashable] = deque()
         self._seq = 0
@@ -205,8 +285,26 @@ class GatedKeyedBank:
 
     @property
     def promoted_bytes(self) -> int:
-        """Pickled size of all promoted estimators at last measurement."""
-        return self._promoted_bytes
+        """Pickled size of all promoted estimators.
+
+        Under a budget this is the accountant's running total (each
+        promotion measured, a rotating batch re-measured every
+        :data:`_ACCOUNTING_EVERY` updates).  Without one, nothing is
+        measured on the update path; the figure is computed when read, by
+        pickling the first :data:`_MEMORY_SAMPLE` promoted estimators
+        (constant, deterministic) and scaling their mean by the promoted
+        count — O(1) per read however many keys are live.
+        """
+        if self._memory_budget is not None:
+            return self._promoted_bytes
+        if not self._promoted:
+            return 0
+        sample = []
+        for estimator in self._promoted.values():
+            sample.append(len(pickle.dumps(estimator, pickle.HIGHEST_PROTOCOL)))
+            if len(sample) >= _MEMORY_SAMPLE:
+                break
+        return round(sum(sample) / len(sample) * len(self._promoted))
 
     def __len__(self) -> int:
         """Individually tracked keys (promoted + monitored)."""
@@ -236,48 +334,66 @@ class GatedKeyedBank:
         )
 
     def update(self, key: Hashable, record: Record) -> float:
-        """Route one record; returns the key's new (point) estimate."""
+        """Route one record; returns the key's new (point) estimate.
+
+        A record with a NaN or infinite attribute raises
+        :class:`~repro.exceptions.StreamError` before any state changes,
+        so it can neither sit in a replay buffer nor skew a key's mass.
+        """
         if not isinstance(record, Record):
             record = Record(*record)
+        ensure_finite(record)
         self._seq += 1
-        if record.y < self._y_min:
-            self._y_min = record.y
-        if record.y > self._y_max:
-            self._y_max = record.y
-        entry = self._promoted.get(key)
-        if entry is not None:
-            entry.hits += 1
-            entry.mass += abs(record.y)
-            entry.last_seq = self._seq
-            value = entry.estimator.update(record)
+        y = record.y
+        if y < self._y_min:
+            self._y_min = y
+        if y > self._y_max:
+            self._y_max = y
+        estimator = self._promoted.get(key)
+        if estimator is not None:
+            self._hits[key] += 1
+            self._mass[key] += abs(y)
+            if self._memory_budget is not None:
+                self._last_seq[key] = self._seq
+            value = estimator.update(record)
             if self._seq % _ACCOUNTING_EVERY == 0:
                 self._refresh_accounting()
             return value
         slot = self._admission.update(key, record)
         due = slot.promote_at if slot.promote_at else self._promote_threshold
         if slot.observed >= due:
-            promoted = self._promote(key, slot)
-            if promoted is not None:
-                return promoted.estimator.estimate()  # type: ignore[attr-defined]
+            value = self._promote(key, slot, record)
+            if value is not None:
+                return value
         if self._seq % _ACCOUNTING_EVERY == 0:
             self._refresh_accounting()
         return self._tail_point(slot)
 
     # ------------------------------------------------- promotion/demotion
 
-    def _promote(self, key: Hashable, slot: Slot) -> _Promoted | None:
+    def _promote(self, key: Hashable, slot: Slot, record: Record) -> float | None:
         """Build a full estimator for ``key``, replaying its buffer.
 
-        Returns ``None`` (and defers) when the memory budget cannot fit
-        the new estimator even after demoting every colder key.
+        ``record`` is the update that triggered the promotion; when it is
+        the buffer's newest record it is fed through ``update`` last, whose
+        return value is the key's answer.  Returns that answer, or
+        ``None`` (and defers) when the memory budget cannot fit the new
+        estimator even after demoting every colder key.
         """
         estimator = self._build()
-        if slot.buffer:
-            estimator.update_many(slot.buffer, collect="none")
-        replayed = len(slot.buffer)
+        buffer = slot.buffer
+        replayed = len(buffer)
+        if replayed and buffer[-1] is record:
+            if replayed > 1:
+                estimator.update_many(buffer[:-1], collect="none")
+            value = estimator.update(record)
+        else:
+            if replayed:
+                estimator.update_many(buffer, collect="none")
+            value = estimator.estimate()  # type: ignore[attr-defined]
         missed = slot.count - replayed
-        nbytes = len(pickle.dumps(estimator, pickle.HIGHEST_PROTOCOL))
         if self._memory_budget is not None:
+            nbytes = len(pickle.dumps(estimator, pickle.HIGHEST_PROTOCOL))
             while (
                 self._promoted_bytes + nbytes > self._memory_budget
                 and self._promoted
@@ -289,19 +405,24 @@ class GatedKeyedBank:
                 slot.promote_at = slot.observed + self._promote_threshold
                 self._deferred_promotions += 1
                 return None
+            self._promoted_bytes += nbytes
+            self._nbytes[key] = nbytes
+            self._last_seq[key] = self._seq
+            self._refresh_queue.append(key)
+        else:
+            nbytes = 0  # nothing is measured without a budget
         self._admission.remove(key)
-        mass = math.fsum(abs(r.y) for r in slot.buffer)
-        entry = _Promoted(
-            estimator=estimator,
-            hits=replayed,
-            mass=mass,
-            missed=missed,
-            last_seq=self._seq,
-            nbytes=nbytes,
-        )
-        self._promoted[key] = entry
-        self._promoted_bytes += nbytes
-        self._refresh_queue.append(key)
+        # Missing only the inherited error, the buffer holds every observed
+        # record: their |y| sum is the slot's mass, accumulated in arrival
+        # order as the promoted path goes on accumulating it.
+        if missed == slot.error:
+            mass = slot.mass
+        else:
+            mass = math.fsum(abs(r.y) for r in buffer)
+        self._promoted[key] = estimator
+        self._hits[key] = replayed
+        self._mass[key] = mass
+        self._missed[key] = missed
         self._promotions += 1
         if self._obs.enabled:
             self._obs.emit(
@@ -312,30 +433,40 @@ class GatedKeyedBank:
                 exact=float(missed == 0),
                 bytes=float(nbytes),
             )
-        return entry
+        return value
 
     def _demote_coldest(self) -> None:
         """Demote the least-recently-updated promoted key into the sketch."""
-        key = min(self._promoted, key=lambda k: self._promoted[k].last_seq)
-        self._demote(key)
+        self._demote(min(self._promoted, key=self._last_seq.__getitem__))
+
+    def _drop(self, key: Hashable) -> tuple[int, float, int, int]:
+        """Remove a promoted key's estimator and bookkeeping.
+
+        Returns its ``(hits, mass, missed, nbytes)``; the bytes leave the
+        budget's running total.
+        """
+        del self._promoted[key]
+        self._last_seq.pop(key, None)
+        nbytes = self._nbytes.pop(key, 0)
+        self._promoted_bytes -= nbytes
+        return self._hits.pop(key), self._mass.pop(key), self._missed.pop(key), nbytes
 
     def _demote(self, key: Hashable) -> None:
-        entry = self._promoted.pop(key)
-        self._promoted_bytes -= entry.nbytes
+        hits, mass, missed, nbytes = self._drop(key)
         self._admission.reinsert(
             key,
-            hits=entry.hits,
-            mass=entry.mass,
-            missed=entry.missed,
-            promote_at=entry.hits + self._promote_threshold,
+            hits=hits,
+            mass=mass,
+            missed=missed,
+            promote_at=hits + self._promote_threshold,
         )
         self._demotions += 1
         if self._obs.enabled:
             self._obs.emit(
                 "keyed.demote",
                 key=str(key),
-                updates=float(entry.hits),
-                bytes=float(entry.nbytes),
+                updates=float(hits),
+                bytes=float(nbytes),
             )
 
     def demote(self, key: Hashable) -> bool:
@@ -352,11 +483,9 @@ class GatedKeyedBank:
         ceiling so tail intervals stay sound if it reappears, and a
         ``keyed.evict`` event records the dropped state.
         """
-        entry = self._promoted.pop(key, None)
-        if entry is not None:
-            self._promoted_bytes -= entry.nbytes
-            self._admission.raise_ceiling(entry.hits + entry.missed)
-            updates = entry.hits
+        if key in self._promoted:
+            updates, _, missed, _ = self._drop(key)
+            self._admission.raise_ceiling(updates + missed)
         else:
             slot = self._admission.remove(key, forget=True)
             if slot is None:
@@ -373,21 +502,23 @@ class GatedKeyedBank:
         Focused estimators have (near-)bounded state, but warmup buffers
         and GK summaries do grow; the rotation keeps ``promoted_bytes``
         honest without pickling the whole bank on any single update.
-        Growth discovered here re-applies the budget.
+        Growth discovered here re-applies the budget.  Without a budget
+        there is nothing to account.
         """
+        if self._memory_budget is None:
+            return
         queue = self._refresh_queue
         for _ in range(min(_REFRESH_BATCH, len(queue))):
             key = queue.popleft()
-            entry = self._promoted.get(key)
-            if entry is None:  # demoted/evicted since queued
+            estimator = self._promoted.get(key)
+            if estimator is None:  # demoted/evicted since queued
                 continue
-            nbytes = len(pickle.dumps(entry.estimator, pickle.HIGHEST_PROTOCOL))
-            self._promoted_bytes += nbytes - entry.nbytes
-            entry.nbytes = nbytes
+            nbytes = len(pickle.dumps(estimator, pickle.HIGHEST_PROTOCOL))
+            self._promoted_bytes += nbytes - self._nbytes[key]
+            self._nbytes[key] = nbytes
             queue.append(key)
-        if self._memory_budget is not None:
-            while self._promoted_bytes > self._memory_budget and len(self._promoted) > 1:
-                self._demote_coldest()
+        while self._promoted_bytes > self._memory_budget and len(self._promoted) > 1:
+            self._demote_coldest()
 
     # ------------------------------------------------------------- answers
 
@@ -445,30 +576,30 @@ class GatedKeyedBank:
         keys are bounded by the forgotten ceiling (exactly ``[0, 0]``
         while the sketch never displaced anything).
         """
-        entry = self._promoted.get(key)
-        if entry is not None:
-            value = entry.estimator.estimate()  # type: ignore[attr-defined]
-            if entry.missed == 0:
+        estimator = self._promoted.get(key)
+        if estimator is not None:
+            value = estimator.estimate()  # type: ignore[attr-defined]
+            missed = self._missed[key]
+            if missed == 0:
                 return KeyEstimate(value, value, value, "promoted", missed=0)
-            total_hits = entry.hits + entry.missed
             dependent = self._query.dependent
             if dependent == "count":
-                low, high = 0.0, float(total_hits)
+                low, high = 0.0, float(self._hits[key] + missed)
             elif dependent == "sum":
-                mass_high = entry.mass + entry.missed * self._admission.max_abs_y
+                mass_high = self._mass[key] + missed * self._admission.max_abs_y
                 y_low, _ = self._y_range()
                 low = -mass_high if y_low < 0.0 else 0.0
                 high = mass_high
             else:
                 low, high = self._y_range()
-            return KeyEstimate(value, low, high, "promoted", missed=entry.missed)
+            return KeyEstimate(value, low, high, "promoted", missed=missed)
         return self._tail_estimate(self._admission.slot(key))
 
     def estimates(self) -> dict[Hashable, float]:
         """Point estimates for every individually tracked key."""
         values = {
-            key: entry.estimator.estimate()  # type: ignore[attr-defined]
-            for key, entry in self._promoted.items()
+            key: estimator.estimate()  # type: ignore[attr-defined]
+            for key, estimator in self._promoted.items()
         }
         for key in self._admission.keys():
             values[key] = self._tail_point(self._admission.slot(key))
@@ -479,8 +610,9 @@ class GatedKeyedBank:
 
         Promoted keys rank by their estimator's answer, tail keys by the
         sketch's conservative upper bound — so a heavy key that has not
-        crossed the promotion threshold yet still surfaces.  NaN-safe and
-        deterministic like :meth:`KeyedEstimatorBank.top`.
+        crossed the promotion threshold yet still surfaces.  NaN estimates
+        (an extrema estimator whose focus emptied, say) rank last, in
+        first-seen order; fewer than ``n`` tracked keys returns them all.
         """
         if n <= 0:
             raise ConfigurationError(f"n must be positive, got {n}")
@@ -493,7 +625,7 @@ class GatedKeyedBank:
         gauges: dict[str, float] = {
             "keys": float(len(self)),
             "promoted": float(len(self._promoted)),
-            "promoted_bytes": float(self._promoted_bytes),
+            "promoted_bytes": float(self.promoted_bytes),
             "promotions": float(self._promotions),
             "demotions": float(self._demotions),
             "evictions": float(self._evictions),

@@ -18,9 +18,6 @@ These are the substrate the paper's algorithms stand on:
   oracle's window sum.
 * :class:`~repro.structures.welford.RunningMoments` — numerically stable
   running mean/variance (Welford), the basis of the CLT focus interval.
-* :class:`~repro.structures.p2_quantile.P2Quantile` — constant-space
-  streaming quantile estimate, used by quantile partitioning policies when
-  re-seeding bucket boundaries.
 """
 
 from repro.structures.exact_sum import ExactSum
@@ -28,7 +25,6 @@ from repro.structures.fenwick import FenwickTree, OrderStatisticsIndex
 from repro.structures.gk_quantiles import GKQuantileSummary
 from repro.structures.intervals import IntervalExtremaTracker
 from repro.structures.monotonic_deque import MonotonicDeque
-from repro.structures.p2_quantile import P2Quantile
 from repro.structures.ring_buffer import RingBuffer
 from repro.structures.time_intervals import TimeIntervalExtremaTracker
 from repro.structures.welford import RunningMoments
@@ -40,7 +36,6 @@ __all__ = [
     "OrderStatisticsIndex",
     "IntervalExtremaTracker",
     "MonotonicDeque",
-    "P2Quantile",
     "RingBuffer",
     "TimeIntervalExtremaTracker",
     "RunningMoments",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from repro.checkpoint import CheckpointManager
 from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StreamError
 from repro.keyed import GatedKeyedBank
 from repro.obs.sink import RecordingSink
 from repro.streams.model import Record
@@ -296,3 +298,71 @@ class TestObsState:
             assert f"key.{name}.estimate" in state
             assert f"key.{name}.low" in state
             assert f"key.{name}.high" in state
+
+
+class TestNonFiniteRecords:
+    """A NaN/inf record is refused at the call, before any state changes."""
+
+    FINITE = [Record(float(x), float(x % 3 + 1)) for x in (1, 2, 3, 4, 5, 6, 7, 8)]
+    BAD = [
+        Record(float("nan"), 1.0),
+        Record(float("inf"), 1.0),
+        Record(float("-inf"), 1.0),
+        Record(1.0, float("nan")),
+        Record(1.0, float("inf")),
+        Record(1.0, float("-inf")),
+    ]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize(
+        "position", [0, 2, 5], ids=["new-key", "monitored-key", "promoted-key"]
+    )
+    def test_refused_without_a_trace(self, bad, position):
+        bank = GatedKeyedBank(QUERY, promote_threshold=4)
+        solo = build_estimator(QUERY, "piecemeal-uniform", num_buckets=10)
+        for record in self.FINITE[:position]:
+            bank.update("k", record)
+            solo.update(record)
+        assert bank.is_promoted("k") == (position >= 4)
+        before = pickle.dumps(bank, pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(StreamError):
+            bank.update("k", bad)
+        assert pickle.dumps(bank, pickle.HIGHEST_PROTOCOL) == before
+        for record in self.FINITE[position:]:
+            assert bank.update("k", record) == solo.update(record)
+        answer = bank.estimate_interval("k")
+        assert answer.exact_history
+        assert answer.value == solo.estimate()
+
+    def test_tuple_input_is_checked_too(self):
+        bank = GatedKeyedBank(QUERY)
+        with pytest.raises(StreamError):
+            bank.update("k", (float("nan"), 1.0))
+        assert "k" not in bank
+
+
+class TestAdmissionHeapBound:
+    """Departed slots' heap entries are dropped before they pile up."""
+
+    def test_heap_bounded_under_promote_demote_cycling(self, rng):
+        capacity = 64
+        probe = GatedKeyedBank(QUERY)
+        bank = GatedKeyedBank(
+            QUERY,
+            promote_threshold=8,
+            sketch_capacity=capacity,
+            memory_budget=probe._estimator_bytes_hint * 4,
+        )
+        heap = bank._admission._heap
+        for i, record in enumerate(_records(rng, 20_000)):
+            bank.update(f"k{i % 40}", record)
+            assert len(heap) <= 2 * capacity + 1
+        assert bank.obs_state()["demotions"] > 0.0
+
+    def test_heap_bounded_when_every_key_is_promoted(self):
+        capacity = 16
+        bank = GatedKeyedBank(QUERY, promote_threshold=1, sketch_capacity=capacity)
+        for i in range(1000):
+            bank.update(i, Record(float(i % 50 + 1)))
+            assert len(bank._admission._heap) <= 2 * capacity + 1
+        assert len(bank.promoted_keys()) == 1000

@@ -12,12 +12,13 @@ import pytest
 
 from repro.checkpoint import CheckpointManager, CheckpointState, generation_name
 from repro.core.engine import build_estimator
-from repro.core.keyed import KeyedEstimatorBank
 from repro.core.multiplex import QueryEngine
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
+from repro.keyed import GatedKeyedBank
 from repro.obs.sink import RecordingSink
 from repro.persistence import dumps_estimator, loads_estimator
+from repro.streams.model import Record
 from repro.testing.faults import flip_bit, truncate_file
 from tests.conftest import make_records
 
@@ -223,7 +224,7 @@ class TestCompositeRoundTrips:
         assert fired == []  # callbacks are process-local; re-subscribe after resume
 
     def test_keyed_bank_round_trip(self, tmp_path, rng):
-        bank = KeyedEstimatorBank(MIN_Q, max_keys=8)
+        bank = GatedKeyedBank(MIN_Q, promote_threshold=1)
         records = _stream(rng, 120)
         for i, r in enumerate(records):
             bank.update(f"customer-{i % 4}", r)
@@ -232,8 +233,10 @@ class TestCompositeRoundTrips:
         assert offset == len(records)
         assert restored.estimates() == bank.estimates()
         assert restored.obs_state() == bank.obs_state()
-        # The restored bank keeps enforcing its cap and routing new keys.
+        # The restored bank keeps its keys and routes new records alike.
         assert sorted(restored.keys()) == sorted(bank.keys())
+        extra = Record(5.0)
+        assert restored.update("customer-0", extra) == bank.update("customer-0", extra)
 
 
 class TestStatePayload:

@@ -247,6 +247,25 @@ class TestCheckpointFlags:
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--serve-metrics", "0"], ["--metrics"], ["--audit-every", "50"]],
+        ids=["serve-metrics", "metrics", "audit-every"],
+    )
+    def test_instrumented_checkpointing_refused_before_anything_starts(
+        self, tmp_path, capsys, flags
+    ):
+        # Regression: the metrics server used to start (and print its
+        # address) before evaluate_methods refused the combination.
+        code = main(
+            [*self.RUN, "--checkpoint-every", "100", "--checkpoint-dir", str(tmp_path), *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "mutually exclusive" in captured.err
+        assert "serving metrics" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_dir_mismatch_rejected(self, tmp_path, capsys):
         code = main(
             [

@@ -12,9 +12,9 @@ import pickle
 import pytest
 
 from repro.core.engine import METHODS, build_estimator
-from repro.core.keyed import KeyedEstimatorBank
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import StreamError
+from repro.keyed import GatedKeyedBank
 from repro.persistence import (
     FORMAT_VERSION,
     dumps_estimator,
@@ -64,7 +64,7 @@ class TestResumeEquivalence:
             assert tail == reference[150:], method
 
     def test_keyed_bank_checkpoints(self, rng):
-        bank = KeyedEstimatorBank(QUERIES["lm-min"])
+        bank = GatedKeyedBank(QUERIES["lm-min"], promote_threshold=1)
         records = make_records(rng.uniform(1.0, 100.0, size=100))
         for i, r in enumerate(records):
             bank.update(f"k{i % 3}", r)

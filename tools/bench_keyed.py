@@ -79,8 +79,8 @@ def _validate_bounds(
     for key in keys:
         hits = truth.get(key, 0)
         if bank.is_promoted(key):
-            entry = bank._promoted[key]
-            low, high = entry.hits, entry.hits + entry.missed
+            low = bank._hits[key]
+            high = low + bank._missed[key]
         else:
             low, high = bank._admission.hit_bounds(key)
         checked += 1
