@@ -27,11 +27,16 @@ a :class:`~repro.keyed.GatedKeyedBank`, or any picklable object):
   ``checkpoint.corrupt`` / ``recovery.replayed`` events flow through the
   standard :class:`~repro.obs.sink.ObsSink` layer.
 
-Typical use::
+Typical use — :func:`repro.eval.tracker.evaluate_methods` drives a
+whole evaluation with ``checkpoint=manager`` (and ``resume=True``); a
+hand-written loop over one target looks like::
 
     manager = CheckpointManager("ckpts/", every=1_000, source="USAGE:20000")
     target, offset = manager.resume(records, fresh=lambda: build_estimator(q, m))
-    outputs = manager.run(target, records, start=offset)
+    for consumed, record in enumerate(records[offset:], start=offset + 1):
+        target.update(record)
+        manager.maybe_save(target, consumed)
+    manager.save_final(target, len(records), offset)
 """
 
 from __future__ import annotations
@@ -303,26 +308,3 @@ class CheckpointManager:
                     count=float(len(records) - restored.offset),
                 )
             return restored.target, restored.offset
-
-    # --------------------------------------------------------------- drive
-
-    def run(self, target: object, records: Sequence[object], start: int = 0) -> list:
-        """Feed ``records[start:]`` through ``target.update``, checkpointing.
-
-        The schedule is applied after every tuple (offsets are absolute
-        stream positions, so a resumed run checkpoints at the same
-        positions an uninterrupted one would), then :meth:`save_final`
-        takes the end-of-stream generation.  Returns one ``update`` result
-        per consumed tuple.
-        """
-        with self._tracer.span("recovery.run", start=float(start)) as span:
-            update = target.update  # type: ignore[attr-defined]
-            outputs = []
-            offset = start
-            for record in records[start:]:
-                outputs.append(update(record))
-                offset += 1
-                self.maybe_save(target, offset)
-            self.save_final(target, offset, start)
-            span.set("consumed", float(offset - start))
-        return outputs

@@ -252,10 +252,7 @@ def _run_sharded(args: argparse.Namespace, methods: list[str] | None) -> int:
     spec = EXPERIMENTS[args.experiment]
     chosen = methods or [m for m in spec.methods() if m in FOCUSED_METHODS]
     print(f"{spec.figure}: {spec.description}")
-    print(
-        f"sharded: {args.shards} workers, {args.partition} partitioning, "
-        f"{args.transport} transport\n"
-    )
+    print(f"sharded: {args.shards} workers, {args.partition} partitioning\n")
     for panel in spec.panels:
         title = f"[{panel.dataset}] {panel.query.describe()} (order={panel.ordering})"
         if panel.query.is_sliding:
@@ -275,7 +272,6 @@ def _run_sharded(args: argparse.Namespace, methods: list[str] | None) -> int:
                 num_buckets=args.buckets or spec.num_buckets,
                 shards=args.shards,
                 partition=args.partition,
-                transport=args.transport,
                 **shard_kwargs,
             ) as ingestor:
                 ingestor.ingest(records)
@@ -321,7 +317,6 @@ def _estimate_sharded(args: argparse.Namespace, query, records, method: str) -> 
         num_buckets=args.buckets,
         shards=args.shards,
         partition=args.partition,
-        transport=args.transport,
         sink=sink,
         **shard_kwargs,
     ) as ingestor:
@@ -335,10 +330,7 @@ def _estimate_sharded(args: argparse.Namespace, query, records, method: str) -> 
 
     print(f"query  : {query.describe()}")
     print(f"stream : {args.dataset}, {len(records)} tuples")
-    print(
-        f"sharded: {args.shards} workers, {args.partition} partitioning, "
-        f"{args.transport} transport\n"
-    )
+    print(f"sharded: {args.shards} workers, {args.partition} partitioning\n")
     print(f"method : {method} (m={args.buckets})")
     print(f"merged estimate : {estimate:.6g}")
     print(f"exact answer    : {exact_final:.6g}")
@@ -577,14 +569,6 @@ def _add_shard_flags(sub: argparse.ArgumentParser) -> None:
         default="round-robin",
         metavar="POLICY",
         help="shard assignment policy: round-robin (default), hash, range",
-    )
-    sub.add_argument(
-        "--transport",
-        default="queue",
-        metavar="NAME",
-        help="chunk transport to the shard workers: queue (portable "
-        "pickling queues, default) or shm (zero-copy shared-memory "
-        "slot ring)",
     )
 
 

@@ -53,6 +53,8 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
+
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.bucket import ZERO_MASS, BucketArray, Mass
@@ -66,7 +68,7 @@ from repro.histograms.reallocate import (
 )
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.streams.columns import np, records_to_columns
+from repro.streams.columns import records_to_columns
 from repro.streams.model import BatchedIngest, Record, ensure_finite
 from repro.structures.ring_buffer import RingBuffer
 
@@ -350,12 +352,11 @@ class FocusedEstimatorBase(BatchedIngest):
     def _feed_rows(self, rows, times, outputs: list[float], collect: str) -> None:
         """The kernel's hand-off inside :class:`BatchedIngest`'s batch loop.
 
-        Without a family kernel for this configuration (numpy present,
-        tracing off, and whatever the family's own gates require — none
-        of which change mid-stream), every row takes the scalar loop.
-        With one, warmup rows step through the scalar path one by one and
-        the rest reach :meth:`_steady_columns` as x/y columns in
-        ``COLUMN_CHUNK`` slices.  Columns are staged only for the slices
+        Without a family kernel for this configuration (the family's own
+        gates decide, and none of them change mid-stream), every row takes
+        the scalar loop.  With one, warmup rows step through the scalar
+        path one by one and the rest reach :meth:`_steady_columns` as x/y
+        columns in ``COLUMN_CHUNK`` slices.  Columns are staged only for the slices
         of a record list, and boundary records read the caller's rows.
         ``collect="all"`` output is exactly ``[self.update(r) for r in
         rows]``; the parity suites enforce it.
@@ -379,10 +380,10 @@ class FocusedEstimatorBase(BatchedIngest):
     def _columns_supported(self, collect: str) -> bool:
         """Whether :meth:`_steady_columns` can take this batch's chunks.
 
-        Family kernels override this with their own gates (numpy
-        availability, tracing off, bucket policy, obs constraints,
-        supported ``collect`` modes) — configuration only, never stream
-        state, so one answer holds for a whole batch.  The base class has
+        Family kernels override this with their own gates (bucket
+        policy, obs and tracing constraints, supported ``collect``
+        modes) — configuration only, never stream state, so one answer
+        holds for a whole batch.  The base class has
         no vectorised kernel, so the answer is no.
         """
         return False

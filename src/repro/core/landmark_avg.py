@@ -33,6 +33,8 @@ rebuilding).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, TwoTailSummaryMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
@@ -40,7 +42,6 @@ from repro.histograms.bucket import Mass
 from repro.histograms.partition import normal_quantile_boundaries
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
-from repro.streams.columns import HAVE_NUMPY, np
 from repro.streams.model import Record
 from repro.structures.welford import RunningMoments
 
@@ -144,9 +145,11 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     def _columns_supported(self, collect: str) -> bool:
         # Per-record answers would need band_mass over the live summary
         # for every tuple; the vectorised path only skips them, so
-        # collect="all" stays on the scalar loop, as does tracing (per-
-        # tuple answer spans).  Quantile swaps run as boundary records.
-        return HAVE_NUMPY and collect != "all" and not self._tracer.enabled
+        # collect="all" stays on the scalar loop.  Without per-record
+        # answers a traced run opens no per-tuple span, and boundary
+        # records open theirs in _absorb.  Quantile swaps run as boundary
+        # records.
+        return collect != "all"
 
     def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
         """Vectorised steady-state ingestion for the landmark-AVG scope.

@@ -35,6 +35,8 @@ error boundaries.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
@@ -47,7 +49,6 @@ from repro.histograms.partition import (
 from repro.histograms.reallocate import piecemeal_reallocate, wholesale_reallocate
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
-from repro.streams.columns import HAVE_NUMPY, np
 from repro.streams.model import Record
 
 __all__ = ["LandmarkExtremaEstimator", "STRATEGIES"]
@@ -241,11 +242,11 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
     # ------------------------------------------------------ columnar kernel
 
     def _columns_supported(self, collect: str) -> bool:
-        # Tracing wants per-tuple answer spans, so it needs the scalar
-        # loop.  Obs sinks and the quantile policy are fine: lifecycle
-        # events and merge/split swaps fire only inside the scalar
-        # boundary calls.
-        return HAVE_NUMPY and not self._tracer.enabled
+        # A traced collect="all" wants one answer span per tuple, so it
+        # needs the scalar loop.  Obs sinks, other traced runs and the
+        # quantile policy are fine: lifecycle events, spans and
+        # merge/split swaps fire only inside the scalar boundary calls.
+        return collect != "all" or not self._tracer.enabled
 
     def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
         # Chunk plan: precompute the running prior extremum (pure data, so

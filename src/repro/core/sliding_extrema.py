@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from repro.core.focused import STRATEGIES, FocusedEstimatorBase, RingWindowMixin
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
@@ -41,7 +43,6 @@ from repro.histograms.partition import quantile_boundaries_from_values, uniform_
 from repro.histograms.reallocate import piecemeal_reallocate, wholesale_reallocate
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
-from repro.streams.columns import HAVE_NUMPY, np
 from repro.streams.model import Record
 from repro.structures.intervals import IntervalExtremaTracker
 
@@ -226,11 +227,9 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
     def _columns_supported(self, collect: str) -> bool:
         # collect="all" would need a per-record estimate_leq interpolation;
         # obs sinks see per-record window.expire events — both stay on the
-        # scalar loop.
+        # scalar loop.  Tracing opens spans only at boundary records.
         return (
-            HAVE_NUMPY
-            and collect != "all"
-            and not self._tracer.enabled
+            collect != "all"
             and not self._obs.enabled
             and self._policy != "quantile"
         )
@@ -571,7 +570,8 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
             union = max(hi, old_hi) - min(lo, old_lo)
             if overlap <= 0.25 * union:
                 sync_ring(t + 1)  # the regime rebuild scans the live window
-            self._reallocate(lo, hi)
+            with self._tracer.span("kernel.reallocate", low=lo, high=hi):
+                self._reallocate(lo, hi)
             rebuilt = self._steps_since_rebuild == 0
         if rebuilt:
             # The reseed re-routed every live record (including this

@@ -25,12 +25,9 @@ import bisect
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from repro.exceptions import ConfigurationError, HistogramError
+import numpy as np
 
-try:  # pragma: no cover - exercised indirectly by both test paths
-    import numpy as np
-except ImportError:  # pragma: no cover - scalar fallback stays available
-    np = None  # type: ignore[assignment]
+from repro.exceptions import ConfigurationError, HistogramError
 
 
 class Mass(NamedTuple):
@@ -161,17 +158,12 @@ class BucketArray:
     def add_many(self, xs: Sequence[float], ys: Sequence[float]) -> None:
         """Add a column of tuples: exactly ``add(x, y)`` per pair, in order.
 
-        Vectorised when numpy is available — one ``searchsorted`` plus
-        sequential scatter-adds (``np.add.at`` applies element-by-element
-        in argument order, so float accumulation matches the scalar loop
-        bit for bit).  The first out-of-range value raises the same
-        :class:`HistogramError` ``add`` would, with every preceding pair
-        already applied.
+        Vectorised: one ``searchsorted`` plus sequential scatter-adds
+        (``np.add.at`` applies element-by-element in argument order, so
+        float accumulation matches the scalar loop bit for bit).  The
+        first out-of-range value raises the same :class:`HistogramError`
+        ``add`` would, with every preceding pair already applied.
         """
-        if np is None:
-            for x, y in zip(xs, ys):
-                self.add(x, y)
-            return
         vx = np.asarray(xs, dtype=np.float64)
         vy = np.asarray(ys, dtype=np.float64)
         lo, hi = self._edges[0], self._edges[-1]

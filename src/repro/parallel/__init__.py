@@ -9,27 +9,19 @@ at query time.  This package provides:
   (``merge_from`` + ``merge_error_bound``) the summary layer implements;
 * :mod:`~repro.parallel.partition` — round-robin / hash / range stream
   partitioning policies;
-* :mod:`~repro.parallel.transport` — pluggable coordinator-to-worker
-  chunk transports: portable pickle queues or a zero-copy shared-memory
-  slot ring;
+* :mod:`~repro.parallel.transport` — the zero-copy shared-memory slot
+  ring that carries chunks from the coordinator to its workers;
 * :class:`~repro.parallel.sharded.ShardedIngestor` — the coordinator
   that runs the workers and merges their summaries.
 
 See docs/PARALLEL.md for merge semantics, exactness boundaries and the
-transport trade-offs.
+slot ring.
 """
 
 from repro.parallel.mergeable import MergeableSummary, merge_all
 from repro.parallel.partition import PARTITION_POLICIES, make_partitioner
 from repro.parallel.sharded import ShardedIngestor
-from repro.parallel.transport import (
-    TRANSPORTS,
-    QueueTransport,
-    ShardTransport,
-    ShmTransport,
-    make_transport,
-    unlink_stale_slabs,
-)
+from repro.parallel.transport import ShmTransport, unlink_stale_slabs
 
 __all__ = [
     "MergeableSummary",
@@ -37,10 +29,6 @@ __all__ = [
     "PARTITION_POLICIES",
     "make_partitioner",
     "ShardedIngestor",
-    "TRANSPORTS",
-    "ShardTransport",
-    "QueueTransport",
     "ShmTransport",
-    "make_transport",
     "unlink_stale_slabs",
 ]

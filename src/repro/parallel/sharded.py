@@ -18,14 +18,12 @@ Only landmark-scope focused estimators are shardable: sliding windows are
 defined over a single arrival order, which partitioning destroys, so
 sliding queries (and ``time_window=``) are rejected up front.
 
-IPC protocol: one input lane per shard behind a pluggable
-:class:`~repro.parallel.transport.ShardTransport` (chunks travel
-columnar; per-shard FIFO makes the query message a natural barrier) and
-one shared output queue.  ``transport="queue"`` (the portable default)
-pickles each chunk's column pair; ``transport="shm"`` writes the columns
-into a zero-copy shared-memory slot ring instead — see
-:mod:`repro.parallel.transport` for the wire formats, slot lifecycle and
-backpressure semantics.  Each worker feeds chunks straight into its
+IPC protocol: one input lane per shard through the shared-memory slot
+ring of :class:`~repro.parallel.transport.ShmTransport` (chunks travel
+as float64 columns written straight into a slab; per-shard FIFO makes the
+query message a natural barrier) and one shared output queue — see
+:mod:`repro.parallel.transport` for the slot lifecycle and backpressure
+semantics.  Each worker feeds chunks straight into its
 estimator's ``update_columns`` kernel with ``collect="none"`` — no
 per-record estimates, no per-record objects on the wire.  Workers receive
 their estimator as an explicit pickle payload, so construction is
@@ -47,7 +45,7 @@ from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.partition import RangePartitioner, RoundRobinPartitioner, make_partitioner
-from repro.parallel.transport import make_transport
+from repro.parallel.transport import ShmTransport
 from repro.streams.model import Record
 
 __all__ = ["ShardedIngestor"]
@@ -102,12 +100,10 @@ class ShardedIngestor:
         ``'round-robin'`` (default), ``'hash'``, or ``'range'`` — see
         :mod:`repro.parallel.partition` for the trade-offs.
     transport:
-        ``'queue'`` (default, portable pickle queues) or ``'shm'``
-        (zero-copy shared-memory slot ring) — see
-        :mod:`repro.parallel.transport` for the trade-offs.
+        ``'shm'``, the only transport: the zero-copy shared-memory slot
+        ring of :mod:`repro.parallel.transport`.
     chunk_size:
-        Records per IPC message; batching amortises per-message overhead
-        (and sizes the shm transport's slabs).
+        Records per slot hand-off; sizes the ring's slabs.
     start_method:
         ``multiprocessing`` start method (``'fork'``/``'spawn'``/...);
         ``None`` uses the platform default.
@@ -127,7 +123,7 @@ class ShardedIngestor:
         num_buckets: int = 10,
         shards: int = 2,
         partition: str = "round-robin",
-        transport: str = "queue",
+        transport: str = "shm",
         chunk_size: int = 4096,
         start_method: str | None = None,
         result_timeout: float = 120.0,
@@ -141,6 +137,10 @@ class ShardedIngestor:
             )
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+        if transport != "shm":
+            raise ConfigurationError(
+                f"unknown transport {transport!r}; shm is the only transport"
+            )
         if query.is_sliding:
             raise ConfigurationError(
                 "sliding-window queries are not shardable: the window is "
@@ -168,9 +168,7 @@ class ShardedIngestor:
         self._shards = shards
         self._chunk_size = chunk_size
         self._partitioner = make_partitioner(partition, shards)
-        self._transport = make_transport(
-            transport, chunk_size=chunk_size, stall_timeout=result_timeout
-        )
+        self._transport = ShmTransport(chunk_size, stall_timeout=result_timeout)
         self._start_method = start_method
         self._timeout = result_timeout
         self._obs = sink if sink is not None else NULL_SINK
@@ -412,11 +410,7 @@ class ShardedIngestor:
                 records=float(sum(counts.values())),
                 **fields,
             )
-            self._obs.emit(
-                "parallel.transport",
-                transport=self._transport.name,
-                **self._transport.stats(),
-            )
+            self._obs.emit("parallel.transport", **self._transport.stats())
         return merged
 
     def query(self) -> float:

@@ -1,28 +1,15 @@
-"""Pluggable coordinator-to-worker chunk transports for sharded ingestion.
+"""The shared-memory slot ring that carries sharded-ingestion chunks.
 
-PR 5's :class:`~repro.parallel.sharded.ShardedIngestor` moved records to
-its workers through one pickling ``multiprocessing`` queue per shard, and
-PR 6 made the chunks columnar — but every chunk still paid a pickle on
-the coordinator, a pipe write, and an unpickle in the worker.  This
-module extracts that boundary behind the :class:`ShardTransport` shape so
-the wire can be swapped without touching the ingestion logic:
-
-* :class:`QueueTransport` — the portable default.  Columnar chunks are
-  pickled **synchronously** in the coordinator (into reusable per-shard
-  staging buffers via the ``out=`` fast path of
-  :func:`~repro.streams.columns.records_to_columns`) and shipped as one
-  immutable ``bytes`` blob per chunk, so the queue's background feeder
-  thread can never observe a half-rewritten staging buffer.
-* :class:`ShmTransport` — a zero-copy double-buffered ring of
-  ``multiprocessing.shared_memory`` float64 slabs per shard.  The
-  coordinator writes the xs/ys columns **directly into a free slot's
-  slab**, hands the slot over with a one-int control message, and the
-  worker wraps the slab in a numpy view and feeds it straight into
-  ``update_columns(..., collect="none")`` — the column data crosses the
-  process boundary without being pickled, copied, or even touched by the
-  kernel page cache twice.  When every slot of a shard's ring is in
-  flight the coordinator **stalls** until the worker returns one; the
-  stall count is the transport's backpressure gauge.
+:class:`~repro.parallel.sharded.ShardedIngestor` moves records to its
+workers through :class:`ShmTransport`: a zero-copy double-buffered ring
+of ``multiprocessing.shared_memory`` float64 slabs per shard.  The
+coordinator writes the xs/ys columns **directly into a free slot's
+slab**, hands the slot over with a one-int control message, and the
+worker wraps the slab in a numpy view and feeds it straight into
+``update_columns(..., collect="none")`` — the column data crosses the
+process boundary without being pickled or copied.  When every slot of a
+shard's ring is in flight the coordinator **stalls** until the worker
+returns one; the stall count is the transport's backpressure gauge.
 
 Slot lifecycle (``slots_per_shard`` defaults to 2 — double buffering)::
 
@@ -57,35 +44,20 @@ shared memory.
 
 from __future__ import annotations
 
-import difflib
 import os
-import pickle
 import queue as queue_mod
 import secrets
 import time
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError, StreamError
-from repro.streams.columns import HAVE_NUMPY, records_to_columns
+from repro.streams.columns import records_to_columns
 
-try:  # pragma: no cover - exercised indirectly by both test paths
-    import numpy as np
-except ImportError:  # pragma: no cover - the memoryview fallback
-    np = None  # type: ignore[assignment]
-
-__all__ = [
-    "TRANSPORTS",
-    "DEFAULT_SLOTS",
-    "ShardTransport",
-    "QueueTransport",
-    "ShmTransport",
-    "make_transport",
-    "unlink_stale_slabs",
-]
-
-TRANSPORTS = ("queue", "shm")
+__all__ = ["DEFAULT_SLOTS", "ShmTransport", "unlink_stale_slabs"]
 
 #: Slots per shard ring: two means classic double buffering — the worker
 #: drains one slab while the coordinator fills the other.
@@ -95,175 +67,6 @@ DEFAULT_SLOTS = 2
 SLAB_PREFIX = "repro-"
 
 _FLOAT_BYTES = 8
-
-
-def make_transport(
-    name: str,
-    *,
-    chunk_size: int,
-    slots_per_shard: int = DEFAULT_SLOTS,
-    stall_timeout: float = 120.0,
-) -> "ShardTransport":
-    """Build the transport called ``name``, validating with did-you-mean."""
-    if name not in TRANSPORTS:
-        close = difflib.get_close_matches(str(name), TRANSPORTS, n=1)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
-        raise ConfigurationError(
-            f"unknown transport {name!r}{hint}; "
-            f"valid transports: {', '.join(TRANSPORTS)}"
-        )
-    if name == "queue":
-        return QueueTransport(chunk_size)
-    return ShmTransport(
-        chunk_size, slots_per_shard=slots_per_shard, stall_timeout=stall_timeout
-    )
-
-
-@runtime_checkable
-class ShardTransport(Protocol):
-    """Coordinator-to-worker chunk channel, one lane per shard.
-
-    The ingestor drives the coordinator side: :meth:`start` under a
-    ``multiprocessing`` context, :meth:`worker_endpoint` for each worker's
-    picklable receive handle, :meth:`send_records` per flushed buffer,
-    :meth:`send_control` for the ``("query",)`` / ``("stop",)`` barrier
-    messages (FIFO with the chunks, so they double as fences), and
-    :meth:`close` for teardown.  ``liveness`` may be set to a callable
-    returning a description of a dead worker (or ``None``) so a blocking
-    transport can fail fast instead of waiting out its stall timeout.
-    """
-
-    name: str
-    liveness: Callable[[int], str | None] | None
-
-    def start(self, ctx, shards: int) -> None:
-        """Allocate per-shard channels under a multiprocessing context."""
-        ...
-
-    def worker_endpoint(self, shard: int):
-        """A picklable receive handle for one worker process."""
-        ...
-
-    def send_records(self, shard: int, records) -> None:
-        """Ship a flushed record buffer to ``shard`` as columnar chunks."""
-        ...
-
-    def send_control(self, shard: int, message: tuple) -> None:
-        """Enqueue a ``("query",)`` / ``("stop",)`` fence after the chunks."""
-        ...
-
-    def close(self) -> None:
-        """Release every channel and shared resource (idempotent)."""
-        ...
-
-    def stats(self) -> dict[str, float]:
-        """Cumulative transfer counters for the ``transport.*`` gauges."""
-        ...
-
-
-
-# --------------------------------------------------------------------- queue
-
-
-class QueueTransport:
-    """The portable default: one pickling queue per shard.
-
-    Chunks are serialised synchronously in :meth:`send_records` — the
-    staging columns are reused per shard, and only the resulting
-    immutable ``bytes`` blob is handed to the queue's feeder thread, so
-    buffer reuse can never race the feeder's deferred pickle.
-    """
-
-    name = "queue"
-
-    def __init__(self, chunk_size: int) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._chunk = chunk_size
-        self._queues: list = []
-        self._staging: dict[int, tuple] = {}
-        self.liveness: Callable[[int], str | None] | None = None
-        self._chunks = 0
-        self._bytes = 0
-
-    def start(self, ctx, shards: int) -> None:
-        """Create one pickling queue per shard."""
-        self._queues = [ctx.Queue() for _ in range(shards)]
-
-    def worker_endpoint(self, shard: int) -> "QueueEndpoint":
-        """The worker's handle on its shard queue."""
-        return QueueEndpoint(self._queues[shard])
-
-    def _stage(self, shard: int):
-        if not HAVE_NUMPY:
-            return None
-        pair = self._staging.get(shard)
-        if pair is None:
-            pair = (
-                np.empty(self._chunk, dtype=np.float64),
-                np.empty(self._chunk, dtype=np.float64),
-            )
-            self._staging[shard] = pair
-        return pair
-
-    def send_records(self, shard: int, records) -> None:
-        """Ship ``records`` as one or more pickled columnar chunks."""
-        queue = self._queues[shard]
-        for lo in range(0, len(records), self._chunk):
-            part = records[lo : lo + self._chunk]
-            xs, ys = records_to_columns(part, out=self._stage(shard))
-            blob = pickle.dumps((xs, ys), protocol=pickle.HIGHEST_PROTOCOL)
-            queue.put(("chunk", blob))
-            self._chunks += 1
-            self._bytes += len(blob)
-
-    def send_control(self, shard: int, message: tuple) -> None:
-        """Control messages share the chunk queue, so they are fences."""
-        self._queues[shard].put(message)
-
-    def close(self) -> None:
-        """Close the queues and drop the staging buffers."""
-        for queue in self._queues:
-            queue.close()
-            queue.cancel_join_thread()
-        self._queues = []
-        self._staging.clear()
-
-    def stats(self) -> dict[str, float]:
-        """Chunks shipped and pickled bytes enqueued so far."""
-        return {"chunks": float(self._chunks), "bytes": float(self._bytes)}
-
-
-class QueueEndpoint:
-    """Worker-side receive handle for :class:`QueueTransport`.
-
-    Chunks arrive as the pickled ``(xs, ys)`` blobs
-    :meth:`QueueTransport.send_records` enqueues; the coordinator and its
-    workers come from one process tree, so there is no other shape.
-    """
-
-    def __init__(self, queue) -> None:
-        self._queue = queue
-
-    def attach(self) -> None:
-        """Nothing to map; the queue arrived through process inheritance."""
-
-    def recv(self) -> tuple[str, object]:
-        """Next message: ("columns", (xs, ys)) or a fence."""
-        message = self._queue.get()
-        tag = message[0]
-        if tag != "chunk":
-            return tag, None
-        return "columns", pickle.loads(message[1])
-
-    def release(self) -> None:
-        """Queue chunks are owned copies; nothing to hand back."""
-
-    def detach(self) -> None:
-        """Deliberately empty."""
-
-
-# ----------------------------------------------------------------------- shm
 
 
 def _create_slab(nbytes: int) -> shared_memory.SharedMemory:
@@ -298,14 +101,11 @@ def _attach_slab(name: str) -> shared_memory.SharedMemory:
 
 def _slab_views(shm: shared_memory.SharedMemory, capacity: int):
     """(xs, ys) float64 views over one slab: xs first, ys second."""
-    if HAVE_NUMPY:
-        xs = np.frombuffer(shm.buf, dtype=np.float64, count=capacity, offset=0)
-        ys = np.frombuffer(
-            shm.buf, dtype=np.float64, count=capacity, offset=capacity * _FLOAT_BYTES
-        )
-        return xs, ys
-    doubles = shm.buf.cast("d")
-    return doubles[:capacity], doubles[capacity : 2 * capacity]
+    xs = np.frombuffer(shm.buf, dtype=np.float64, count=capacity, offset=0)
+    ys = np.frombuffer(
+        shm.buf, dtype=np.float64, count=capacity, offset=capacity * _FLOAT_BYTES
+    )
+    return xs, ys
 
 
 def unlink_stale_slabs(prefix: str = SLAB_PREFIX) -> list[str]:
@@ -346,8 +146,6 @@ class ShmTransport:
     so a dead worker raises :class:`~repro.exceptions.StreamError`
     instead of waiting out ``stall_timeout``.
     """
-
-    name = "shm"
 
     def __init__(
         self,
@@ -447,13 +245,7 @@ class ShmTransport:
             part = records[lo : lo + self._capacity]
             n = len(part)
             slot = self._acquire_slot(shard)
-            xs, ys = self._views[shard][slot]
-            if HAVE_NUMPY:
-                records_to_columns(part, out=(xs, ys))
-            else:  # memoryview fallback: element-wise into the cast slab
-                for i, record in enumerate(part):
-                    xs[i] = record.x
-                    ys[i] = record.y
+            records_to_columns(part, out=self._views[shard][slot])
             control.put(("slot", slot, n))
             self._handoffs += 1
             self._bytes += 2 * n * _FLOAT_BYTES

@@ -2,11 +2,9 @@
 
 The columnar ingestion path (``update_columns`` on every stream
 algorithm) moves records through the system as two flat float columns
-instead of one ``Record`` object per tuple.  numpy backs the columns
-when it is importable — the vectorised family kernels in
-``repro.core`` require it — and the stdlib ``array`` module provides a
-dependency-free fallback that keeps the API (and the sharded chunk
-transport) working with plain scalar ingestion underneath.
+instead of one ``Record`` object per tuple, as numpy float64 arrays —
+the form the vectorised family kernels in ``repro.core`` and the
+sharded slot ring read.
 
 Nothing here changes estimator semantics: columns are a transport and
 staging format, and every conversion back to :class:`Record` goes
@@ -15,19 +13,12 @@ through Python floats so downstream state never holds numpy scalars.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.streams.model import Record
-
-try:  # pragma: no cover - exercised indirectly by both test paths
-    import numpy as np
-except ImportError:  # pragma: no cover - the array-module fallback
-    np = None  # type: ignore[assignment]
-
-#: Whether the vectorised kernels can run at all in this interpreter.
-HAVE_NUMPY = np is not None
 
 ColumnPair = tuple["Sequence[float]", "Sequence[float]"]
 
@@ -51,25 +42,13 @@ def as_columns(xs: Iterable[float], ys: Iterable[float] | None = None) -> Column
     """Coerce ``xs``/``ys`` into a pair of equal-length float64 columns.
 
     ``ys=None`` means every tuple carries the default measure weight of
-    1.0 (mirroring ``Record``'s default ``y``).  Returns numpy arrays
-    when numpy is available, ``array('d')`` columns otherwise.
+    1.0 (mirroring ``Record``'s default ``y``).
     """
-    if HAVE_NUMPY:
-        x_col = _float_column(xs, "x")
-        if ys is None:
-            y_col = np.ones(len(x_col), dtype=np.float64)
-        else:
-            y_col = _float_column(ys, "y")
+    x_col = _float_column(xs, "x")
+    if ys is None:
+        y_col = np.ones(len(x_col), dtype=np.float64)
     else:
-        x_col = xs if isinstance(xs, array) and xs.typecode == "d" else (
-            array("d", [float(v) for v in xs])
-        )
-        if ys is None:
-            y_col = array("d", [1.0]) * len(x_col)
-        else:
-            y_col = ys if isinstance(ys, array) and ys.typecode == "d" else (
-                array("d", [float(v) for v in ys])
-            )
+        y_col = _float_column(ys, "y")
     if len(x_col) != len(y_col):
         raise ConfigurationError(
             f"column length mismatch: {len(x_col)} x values vs {len(y_col)} y values"
@@ -79,7 +58,7 @@ def as_columns(xs: Iterable[float], ys: Iterable[float] | None = None) -> Column
 
 def columns_to_records(xs: Sequence[float], ys: Sequence[float]) -> list[Record]:
     """Materialise a column pair as ``Record`` objects (Python floats)."""
-    if HAVE_NUMPY and isinstance(xs, np.ndarray):
+    if isinstance(xs, np.ndarray):
         return [Record(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
     return [Record(float(x), float(y)) for x, y in zip(xs, ys)]
 
@@ -100,19 +79,11 @@ def records_to_columns(
     of length-n views into the buffers, so a caller looping over chunks
     (the sharded coordinator's feed loop, a shared-memory slab) reuses
     one buffer pair instead of allocating two fresh arrays per chunk.
-    Only honoured on the numpy path; the stdlib-``array`` fallback always
-    builds fresh columns (``array`` slices are copies, so in-place reuse
-    could not be returned as views anyway).
     """
     if out is None and isinstance(records, ColumnRows):
         return records.xs, records.ys
     n = len(records)
-    if (
-        out is not None
-        and HAVE_NUMPY
-        and isinstance(out[0], np.ndarray)
-        and isinstance(out[1], np.ndarray)
-    ):
+    if out is not None:
         xs_buf, ys_buf = out
         if len(xs_buf) < n or len(ys_buf) < n:
             raise ConfigurationError(
@@ -127,11 +98,9 @@ def records_to_columns(
             np.copyto(xs_buf[:n], staged[:, 0])
             np.copyto(ys_buf[:n], staged[:, 1])
         return xs_buf[:n], ys_buf[:n]
-    if HAVE_NUMPY:
-        xs = np.fromiter((r.x for r in records), dtype=np.float64, count=n)
-        ys = np.fromiter((r.y for r in records), dtype=np.float64, count=n)
-        return xs, ys
-    return array("d", (r.x for r in records)), array("d", (r.y for r in records))
+    xs = np.fromiter((r.x for r in records), dtype=np.float64, count=n)
+    ys = np.fromiter((r.y for r in records), dtype=np.float64, count=n)
+    return xs, ys
 
 
 class ColumnRows:

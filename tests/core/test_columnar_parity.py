@@ -7,9 +7,9 @@ internal state under ``collect="last"``/``"none"``, same exception (with
 the same partial state) when a chunk holds a record the scalar path
 would reject.  These tests pin that equivalence for all five estimator
 families across batch sizes 1, 7 and 4096, through mid-batch
-reallocations, non-finite records, and the stdlib-``array`` fallback
-used when numpy is unavailable — and, for the landmark kernels, under
-the quantile policy, whose merge/split swaps run as boundary records.
+reallocations, non-finite records and traced runs — and, for the
+landmark kernels, under the quantile policy, whose merge/split swaps run
+as boundary records.
 """
 
 from __future__ import annotations
@@ -20,17 +20,13 @@ import random
 import numpy as np
 import pytest
 
-import repro.core.landmark_avg
-import repro.core.landmark_extrema
-import repro.core.sliding_avg
-import repro.core.sliding_extrema
-import repro.streams.columns
 from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
 from repro.core.time_sliding import TimeSlidingEstimator
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import RecordingSink
+from repro.obs.trace import Tracer
 from repro.streams.model import Record
 
 SIZE = 1200
@@ -44,12 +40,8 @@ FAMILY_QUERIES = {
     "sliding_avg": CorrelatedQuery("count", "avg", window=WINDOW),
 }
 
-FAMILY_MODULES = {
-    "landmark_extrema": repro.core.landmark_extrema,
-    "landmark_avg": repro.core.landmark_avg,
-    "sliding_extrema": repro.core.sliding_extrema,
-    "sliding_avg": repro.core.sliding_avg,
-}
+#: The families with a vectorised kernel (sliding_avg has none).
+KERNEL_FAMILIES = ("landmark_extrema", "landmark_avg", "sliding_extrema")
 
 
 @pytest.fixture(scope="module")
@@ -216,18 +208,63 @@ def test_mid_batch_reallocation_parity(family, stream):
     assert _state_fingerprint(batched) == _state_fingerprint(single)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
-def test_array_module_fallback(family, stream, columns, monkeypatch):
-    """Without numpy the same entry point runs the scalar loop unchanged."""
-    xs, ys = columns
-    monkeypatch.setattr(repro.streams.columns, "HAVE_NUMPY", False)
-    # sliding_avg has no vectorised kernel, hence no HAVE_NUMPY gate to patch.
-    monkeypatch.setattr(FAMILY_MODULES[family], "HAVE_NUMPY", False, raising=False)
-    single = _build(family)
-    expected = [single.update(r) for r in stream[:300]]
-    batched = _build(family)
-    assert batched.update_columns(xs[:300], ys[:300]) == expected
+def _traced_run(family, records, collect, columnar, monkeypatch):
+    """``update_columns`` under a tracer: its result, estimator and spans.
+
+    ``columnar=False`` forces the scalar batch loop, the reference.
+    """
+    tracer = Tracer(max_spans=100_000)
+    estimator = build_estimator(
+        FAMILY_QUERIES[family], "piecemeal-uniform", num_buckets=10, tracer=tracer
+    )
+    kernel_rows: list[int] = []
+    if columnar:
+        steady = estimator._steady_columns
+
+        def counted(xs, *args):
+            kernel_rows.append(len(xs))
+            return steady(xs, *args)
+
+        monkeypatch.setattr(estimator, "_steady_columns", counted)
+    else:
+        monkeypatch.setattr(estimator, "_columns_supported", lambda collect: False)
+    got = estimator.update_columns(
+        [r.x for r in records], [r.y for r in records], collect=collect
+    )
+    spans = [(span["name"], span["attributes"]) for span in tracer.recent()]
+    return got, estimator, spans, sum(kernel_rows)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("collect", ["none", "last"])
+def test_traced_columns_take_the_kernel(family, collect, stream, monkeypatch):
+    """Tracing without per-record answers keeps the vectorised kernel.
+
+    The scalar loop opens no answer span for ``"none"``/``"last"``, and
+    the kernel pushes every boundary record through the same scalar
+    machinery, so state and the span sequence match it exactly.
+    """
+    expected, single, single_spans, _ = _traced_run(
+        family, stream, collect, False, monkeypatch
+    )
+    got, batched, spans, kernel_rows = _traced_run(
+        family, stream, collect, True, monkeypatch
+    )
+    assert kernel_rows > SIZE // 2
+    assert got == expected
     assert _state_fingerprint(batched) == _state_fingerprint(single)
+    assert {name for name, _ in single_spans} > {"kernel.build"}
+    assert spans == single_spans
+
+
+def test_traced_collect_all_stays_scalar():
+    """Per-record answers under a tracer open one span per tuple."""
+    for family in KERNEL_FAMILIES:
+        estimator = build_estimator(
+            FAMILY_QUERIES[family], "piecemeal-uniform", num_buckets=10, tracer=Tracer()
+        )
+        assert not estimator._columns_supported("all")
+        assert estimator._columns_supported("none")
 
 
 def test_mismatched_columns_rejected(columns):

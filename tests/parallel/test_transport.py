@@ -1,12 +1,13 @@
-"""Transport layer: queue/shm parity, slot recycling, fault paths, cleanup.
+"""The shared-memory slot ring: parity, slot recycling, fault paths, cleanup.
 
-The satellite checklist pins four fault paths here: a worker SIGKILLed
-mid-slot must surface as a :class:`~repro.exceptions.StreamError` (not a
-hang), a coordinator crash must leave slabs that
+Four fault paths are pinned here: a worker SIGKILLed mid-slot must
+surface as a :class:`~repro.exceptions.StreamError` (not a hang), a
+coordinator crash must leave slabs that
 :func:`~repro.parallel.transport.unlink_stale_slabs` can mop up, a
-normal shm run must be silent under ``-W error`` (no leaked
-shared-memory warnings, no resource-tracker noise), and merge results
-must be bit-identical across ``fork``/``spawn`` and ``queue``/``shm``.
+normal run must be silent under ``-W error`` (no leaked shared-memory
+warnings, no resource-tracker noise), and merged results must be
+bit-identical across ``fork``/``spawn`` and to an in-process merge of
+the same per-shard substreams.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import RecordingSink
-from repro.parallel import ShardedIngestor, unlink_stale_slabs
-from repro.parallel.transport import (
-    DEFAULT_SLOTS,
-    QueueTransport,
-    ShmTransport,
-    make_transport,
-)
+from repro.parallel import ShardedIngestor, make_partitioner, merge_all, unlink_stale_slabs
+from repro.parallel.transport import DEFAULT_SLOTS, ShmTransport
+from repro.streams.columns import records_to_columns
 from repro.streams.model import Record
 
 MIN_QUERY = CorrelatedQuery(dependent="count", independent="min", epsilon=0.5)
@@ -47,65 +44,87 @@ def _stream(n: int, seed: int = 3) -> list[Record]:
     return [Record(x=rng.gauss(100.0, 20.0), y=1.0) for _ in range(n)]
 
 
-def _start_methods() -> list[str]:
-    return [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
+def _substreams(records, partition: str, shards: int, chunk_size: int) -> list[list[Record]]:
+    """Each shard's records from one ``ingest(records)`` call, in arrival order.
+
+    Replays the coordinator's partitioning in process: round-robin
+    stripes granules of ``min(chunk_size, ceil(len / shards))`` records
+    cyclically, and a range partitioner primes on the whole call when it
+    holds at least one chunk's worth of records.
+    """
+    partitioner = make_partitioner(partition, shards)
+    parts: list[list[Record]] = [[] for _ in range(shards)]
+    if partition == "round-robin":
+        size = min(chunk_size, max(1, -(-len(records) // shards)))
+        for lo in range(0, len(records), size):
+            parts[partitioner.next_chunk_shard()].extend(records[lo : lo + size])
+        return parts
+    if partition == "range":
+        assert len(records) >= max(chunk_size, 4 * shards)
+        partitioner.prime([r.x for r in records])
+    for record in records:
+        parts[partitioner.assign(record)].append(record)
+    return parts
+
+
+def _in_process_merge(query, records, partition: str, shards: int, chunk_size: int):
+    """``merge_all`` over one in-process estimator per replayed substream."""
+    estimators = []
+    for part in _substreams(records, partition, shards, chunk_size):
+        estimator = build_estimator(query, "piecemeal-uniform", num_buckets=10)
+        if part:
+            estimator.update_columns(*records_to_columns(part), collect="none")
+        estimators.append(estimator)
+    return merge_all(estimators)
 
 
 class TestValidation:
-    def test_unknown_transport_did_you_mean(self):
-        with pytest.raises(ConfigurationError, match="did you mean 'shm'"):
-            ShardedIngestor(MIN_QUERY, transport="shem")
+    @pytest.mark.parametrize("name", ["queue", "shem"])
+    def test_only_shm_transport_is_accepted(self, name):
+        with pytest.raises(ConfigurationError, match="shm is the only transport"):
+            ShardedIngestor(MIN_QUERY, transport=name)
 
-    def test_unknown_transport_lists_valid_names(self):
-        with pytest.raises(ConfigurationError, match="queue, shm"):
-            make_transport("carrier-pigeon", chunk_size=64)
+    def test_shm_is_still_accepted(self):
+        state = ShardedIngestor(MIN_QUERY, transport="shm").obs_state()
+        assert state["transport.slots"] == 0.0
 
-    def test_transports_reject_bad_chunk_size(self):
-        for cls in (QueueTransport, ShmTransport):
-            with pytest.raises(ConfigurationError, match="chunk_size"):
-                cls(0)
+    def test_transport_rejects_bad_chunk_size(self):
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            ShmTransport(0)
 
     def test_shm_rejects_bad_slot_count(self):
         with pytest.raises(ConfigurationError, match="slots_per_shard"):
             ShmTransport(64, slots_per_shard=0)
 
 
-class TestQueueShmParity:
-    """Shard-then-merge results must be bit-identical across transports."""
+class TestInProcessParity:
+    """The ring's merged summary is bit-identical to an in-process merge."""
 
     @pytest.mark.parametrize("partition", ["round-robin", "hash", "range"])
     def test_merged_estimates_bit_identical(self, partition):
         records = _stream(3000, seed=11)
-        results = {}
-        for transport in ("queue", "shm"):
-            with ShardedIngestor(
-                MIN_QUERY,
-                shards=3,
-                partition=partition,
-                transport=transport,
-                chunk_size=128,
-            ) as ingestor:
-                ingestor.ingest(records)
-                merged = ingestor.merged_estimator()
-                results[transport] = (
-                    merged.estimate(),
-                    merged.extremum,
-                    ingestor.merge_error_bound(),
-                )
-        # Same records through the same partitioner and the same float64
-        # columns: the wire must not change a single bit.
-        assert results["queue"] == results["shm"]
+        with ShardedIngestor(
+            MIN_QUERY, shards=3, partition=partition, chunk_size=128
+        ) as ingestor:
+            ingestor.ingest(records)
+            merged = ingestor.merged_estimator()
+            sharded = (merged.estimate(), merged.extremum, ingestor.merge_error_bound())
+        # Same substreams into the same estimators, merged in shard order:
+        # the wire must not change a single bit.
+        reference = _in_process_merge(MIN_QUERY, records, partition, 3, 128)
+        assert sharded == (
+            reference.estimate(),
+            reference.extremum,
+            reference.merge_error_bound(),
+        )
 
     def test_avg_query_parity(self):
         records = _stream(2000, seed=19)
-        answers = set()
-        for transport in ("queue", "shm"):
-            with ShardedIngestor(
-                AVG_QUERY, shards=2, transport=transport, chunk_size=256
-            ) as ingestor:
-                ingestor.ingest(records)
-                answers.add(ingestor.query())
-        assert len(answers) == 1
+        with ShardedIngestor(AVG_QUERY, shards=2, chunk_size=256) as ingestor:
+            ingestor.ingest(records)
+            sharded = (ingestor.query(), ingestor.merge_error_bound())
+        reference = _in_process_merge(AVG_QUERY, records, "round-robin", 2, 256)
+        assert sharded == (reference.estimate(), reference.merge_error_bound())
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_shm_fork_spawn_parity(self, start_method):
@@ -117,7 +136,6 @@ class TestQueueShmParity:
         with ShardedIngestor(
             MIN_QUERY,
             shards=2,
-            transport="shm",
             chunk_size=100,
             start_method=start_method,
         ) as ingestor:
@@ -217,7 +235,7 @@ class TestFaultPaths:
     def test_worker_sigkill_mid_slot_raises_instead_of_hanging(self):
         # One shard, a one-deep ring: once the worker dies holding the
         # slot, the very next send must fail fast via the liveness probe.
-        ingestor = ShardedIngestor(MIN_QUERY, shards=1, transport="shm", chunk_size=64)
+        ingestor = ShardedIngestor(MIN_QUERY, shards=1, chunk_size=64)
         try:
             ingestor.start()
             ingestor.ingest(_stream(500))
@@ -251,9 +269,7 @@ class TestFaultPaths:
 
     def test_ingestion_continues_after_query_on_shm(self):
         records = _stream(1000, seed=5)
-        with ShardedIngestor(
-            MIN_QUERY, shards=2, transport="shm", chunk_size=64
-        ) as ingestor:
+        with ShardedIngestor(MIN_QUERY, shards=2, chunk_size=64) as ingestor:
             ingestor.ingest(records[:500])
             first = ingestor.merged_estimator()
             ingestor.ingest(records[500:])
@@ -276,8 +292,7 @@ class TestSlabCleanup:
             query = CorrelatedQuery(dependent="count", independent="min", epsilon=0.5)
             for start_method in ("fork", "spawn"):
                 with ShardedIngestor(
-                    query, shards=2, transport="shm", chunk_size=64,
-                    start_method=start_method,
+                    query, shards=2, chunk_size=64, start_method=start_method,
                 ) as ingestor:
                     ingestor.ingest(records)
                     ingestor.query()
@@ -346,9 +361,7 @@ class TestSlabCleanup:
 class TestObservability:
     def test_transport_gauges_and_event(self):
         sink = RecordingSink()
-        with ShardedIngestor(
-            MIN_QUERY, shards=2, transport="shm", chunk_size=64, sink=sink
-        ) as ingestor:
+        with ShardedIngestor(MIN_QUERY, shards=2, chunk_size=64, sink=sink) as ingestor:
             ingestor.ingest(_stream(600, seed=21))
             ingestor.query()
             state = ingestor.obs_state()
@@ -356,13 +369,4 @@ class TestObservability:
         assert state["transport.bytes"] >= 2 * 8 * 600
         assert "transport.stalls" in state and "transport.stall_seconds" in state
         event = next(e for e in sink.events if e.name == "parallel.transport")
-        assert event.fields["transport"] == "shm"
         assert event.fields["slots"] == state["transport.slots"]
-
-    def test_queue_transport_reports_chunks_and_bytes(self):
-        with ShardedIngestor(MIN_QUERY, shards=2, chunk_size=64) as ingestor:
-            ingestor.ingest(_stream(600, seed=23))
-            ingestor.query()
-            state = ingestor.obs_state()
-        assert state["transport.chunks"] >= 2.0
-        assert state["transport.bytes"] > 0.0

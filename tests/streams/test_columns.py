@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-from array import array
-
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.streams import columns
-from repro.streams.columns import (
-    HAVE_NUMPY,
-    as_columns,
-    columns_to_records,
-    records_to_columns,
-)
+from repro.streams.columns import as_columns, columns_to_records, records_to_columns
 from repro.streams.model import Record
 
 RECORDS = [Record(1.5, 2.0), Record(-3.25, 1.0), Record(0.0, 7.5)]
@@ -36,7 +28,6 @@ class TestRoundTrip:
             as_columns([1.0, 2.0], [3.0])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="out= is the numpy fast path")
 class TestOutFastPath:
     def test_fills_buffers_in_place_and_returns_views(self):
         import numpy as np
@@ -101,17 +92,3 @@ class TestOutFastPath:
             shm.close()
             shm.unlink()
 
-
-class TestFallback:
-    def test_out_is_ignored_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columns, "HAVE_NUMPY", False)
-        out = (array("d", [0.0] * 8), array("d", [0.0] * 8))
-        xs, ys = records_to_columns(RECORDS, out=out)
-        assert isinstance(xs, array) and list(xs) == [1.5, -3.25, 0.0]
-        # The fallback builds fresh columns; out stays untouched.
-        assert list(out[0]) == [0.0] * 8
-
-    def test_fallback_round_trip(self, monkeypatch):
-        monkeypatch.setattr(columns, "HAVE_NUMPY", False)
-        xs, ys = records_to_columns(RECORDS)
-        assert columns_to_records(xs, ys) == RECORDS

@@ -14,6 +14,7 @@ from repro.checkpoint import CheckpointManager, CheckpointState, generation_name
 from repro.core.engine import build_estimator
 from repro.core.multiplex import QueryEngine
 from repro.core.query import CorrelatedQuery
+from repro.eval.tracker import evaluate_methods
 from repro.exceptions import ConfigurationError, StreamError
 from repro.keyed import GatedKeyedBank
 from repro.obs.sink import RecordingSink
@@ -28,6 +29,14 @@ SW_Q = CorrelatedQuery("count", "avg", window=30)
 
 def _stream(rng, n=200):
     return make_records(rng.uniform(1.0, 100.0, size=n))
+
+
+def _evaluate(manager, records, query=MIN_Q, resume=False) -> list[float]:
+    """One checkpointed piecemeal-uniform evaluation; its per-tuple outputs."""
+    results = evaluate_methods(
+        records, query, methods=["piecemeal-uniform"], checkpoint=manager, resume=resume
+    )
+    return results["piecemeal-uniform"].outputs.tolist()
 
 
 class TestScheduling:
@@ -60,16 +69,14 @@ class TestScheduling:
 
     def test_rotation_keeps_newest(self, tmp_path, rng):
         manager = CheckpointManager(tmp_path, every=10, retain=3)
-        est = build_estimator(MIN_Q, "piecemeal-uniform")
-        manager.run(est, _stream(rng, 100))
+        _evaluate(manager, _stream(rng, 100))
         assert [offset for offset, _ in manager.generations()] == [80, 90, 100]
 
     def test_run_takes_final_generation(self, tmp_path, rng):
         # 95 tuples with every=50: schedule fires at 50, the end-of-stream
         # save covers the 45-tuple tail.
         manager = CheckpointManager(tmp_path, every=50, retain=10)
-        est = build_estimator(MIN_Q, "piecemeal-uniform")
-        manager.run(est, _stream(rng, 95))
+        _evaluate(manager, _stream(rng, 95))
         assert [offset for offset, _ in manager.generations()] == [50, 95]
 
 
@@ -168,22 +175,21 @@ class TestResumeEquivalence:
         reference = [uninterrupted.update(r) for r in records]
 
         manager = CheckpointManager(tmp_path, every=40)
-        est = build_estimator(query, "piecemeal-uniform")
-        head = manager.run(est, records[:170])  # "crash" at tuple 170
+        head = _evaluate(manager, records[:170], query)  # "crash" at tuple 170
         assert head == reference[:170]
-        del est  # the process is gone; only the directory survives
 
+        # The process is gone; only the directory survives.
         resumed = CheckpointManager(tmp_path, every=40)
-        target, offset = resumed.resume(records)
-        assert offset == 170  # run() takes a final generation at end of feed
-        tail = resumed.run(target, records, start=offset)
+        _, offset = resumed.resume(records)
+        assert offset == 170  # the evaluation takes a final generation at end of feed
+        outputs = _evaluate(resumed, records, query, resume=True)
+        tail = outputs[offset:]
         assert head[:offset] + tail == reference
 
     def test_events_flow_through_sink(self, tmp_path, rng):
         sink = RecordingSink()
         manager = CheckpointManager(tmp_path, every=25, sink=sink)
-        est = build_estimator(MIN_Q, "piecemeal-uniform")
-        manager.run(est, _stream(rng, 100))
+        _evaluate(manager, _stream(rng, 100))
         assert sink.count("checkpoint.write") == 4.0
         resumed = CheckpointManager(tmp_path, sink=sink)
         resumed.resume(_stream(rng, 100))

@@ -12,6 +12,7 @@ import pytest
 from repro.checkpoint import CheckpointManager, generation_name
 from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
+from repro.eval.tracker import evaluate_methods
 from repro.exceptions import StreamError
 from repro.persistence import atomic_write_bytes, load_estimator, save_estimator
 from repro.testing.faults import (
@@ -86,15 +87,17 @@ def test_manager_survives_crash_at_every_point(tmp_path, rng, crash_at):
     # after=2 lets two full checkpoints land before the fault fires.
     fs = FailingFilesystem(crash_at, after=2)
     manager = CheckpointManager(tmp_path, every=40, retain=1, fs=fs)
-    est = build_estimator(MIN_Q, "piecemeal-uniform")
     with pytest.raises(InjectedFault):
-        manager.run(est, records)
+        evaluate_methods(records, MIN_Q, methods=["piecemeal-uniform"], checkpoint=manager)
     assert fs.crashed
 
     resumed = CheckpointManager(tmp_path, every=40, retain=1)
-    target, offset = resumed.resume(records)
+    _, offset = resumed.resume(records)
     assert offset > 0 and offset % 40 == 0
-    tail = resumed.run(target, records, start=offset)
+    results = evaluate_methods(
+        records, MIN_Q, methods=["piecemeal-uniform"], checkpoint=resumed, resume=True
+    )
+    tail = results["piecemeal-uniform"].outputs.tolist()[offset:]
     assert tail == reference[offset:]
 
 

@@ -67,19 +67,6 @@ def _headline(report: dict) -> dict[str, object]:
                 for point in report["curve"]
             },
         }
-    if "transports" in report:
-        return {
-            "shm_vs_queue_at_4": report.get("shm_vs_queue_at_4"),
-            "meets_criterion": report.get("meets_criterion"),
-            "cpu_count": report.get("machine", {}).get("cpu_count"),
-            "feed_tuples_per_second": {
-                name: {
-                    str(point["workers"]): round(point["feed_tuples_per_second"])
-                    for point in points
-                }
-                for name, points in report["transports"].items()
-            },
-        }
     if "workloads" in report:
         return {
             "within_budget": report.get("within_budget"),
