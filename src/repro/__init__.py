@@ -38,7 +38,7 @@ from repro.parallel import (
     ShardedIngestor,
     merge_all,
 )
-from repro.streams.model import Record, materialize, profile_stream, run_stream
+from repro.streams.model import Record, materialize, run_stream
 
 __version__ = "1.0.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "exact_series",
     "run_stream",
     "materialize",
-    "profile_stream",
     "MetricsRegistry",
     "ObsSink",
     "NullSink",

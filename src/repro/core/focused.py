@@ -28,10 +28,13 @@ strategy, and partitioning policy — but they all run the same lifecycle:
 :class:`FocusedEstimatorBase` owns that skeleton — warmup buffering,
 histogram build/rebuild, reallocation scheduling, quantile merge/split
 maintenance, obs event emission, ``obs_state()``/``estimate_bounds()``
-plumbing, and the kernel hand-off inside the shared batch loop — while
+plumbing, the kernel hand-off inside the shared batch loop, and the one
+columnar segment loop (trace → cut → scatter → boundary step,
+:meth:`FocusedEstimatorBase._steady_columns`) — while
 the five estimator subclasses override only the small policy hooks where
 they genuinely differ (``_target_interval``, ``_route_add``/``_route_remove``,
-``_should_reallocate``, partitioning sources).  Adding a new scope or
+``_should_reallocate``, partitioning sources, and the ``_column_*`` trace
+producer and routing rules of a columnar kernel).  Adding a new scope or
 threshold policy is one subclass, not a sixth parallel module.
 
 Two mixins capture the recurring summary shapes:
@@ -78,6 +81,19 @@ STRATEGIES = ("wholesale", "piecemeal")
 #: kernel, bounding the O(chunk) staging arrays (and the O(chunk * m)
 #: per-record output matrices of ``collect="all"``) on huge batches.
 COLUMN_CHUNK = 16_384
+
+#: The columnar boundary scan tests a family's trigger mask this many
+#: records at a time, so a trigger-dense stream stays O(n) overall.
+SCAN_BLOCK = 1024
+
+
+def bucket_index(edges, values):
+    """Fine-bucket index of each value: :meth:`BucketArray.locate` for
+    values inside the histogram range, clamped to the end buckets (as
+    :meth:`BucketArray.remove` clamps) outside it."""
+    clamped = np.minimum(np.maximum(values, edges[0]), edges[-1])
+    idx = edges.searchsorted(clamped, side="right") - 1
+    return np.minimum(idx, len(edges) - 2, out=idx)
 
 
 class FocusedEstimatorBase(BatchedIngest):
@@ -380,11 +396,11 @@ class FocusedEstimatorBase(BatchedIngest):
     def _columns_supported(self, collect: str) -> bool:
         """Whether :meth:`_steady_columns` can take this batch's chunks.
 
-        Family kernels override this with their own gates (bucket
-        policy, obs and tracing constraints, supported ``collect``
-        modes) — configuration only, never stream state, so one answer
-        holds for a whole batch.  The base class has
-        no vectorised kernel, so the answer is no.
+        Families with a trace producer override this with their own
+        gates (tracing constraints, supported ``collect`` modes) —
+        configuration only, never stream state, so one answer holds for
+        a whole batch.  The base class has no trace producer, so the
+        answer is no.
         """
         return False
 
@@ -398,14 +414,197 @@ class FocusedEstimatorBase(BatchedIngest):
     ) -> None:
         """Vectorised steady-state ingestion of one column chunk.
 
-        Family-kernel hook, only reachable when :meth:`_columns_supported`
-        returned True for ``collect``.  ``xs``/``ys`` are equal-length
-        float64 arrays of steady-state tuples; ``record_at(j)`` lazily
-        materialises tuple ``j`` as a :class:`Record` (kernels call it for
-        boundary records they push through the scalar machinery).  With
-        ``collect="all"`` the kernel must append one estimate per tuple to
-        ``outputs``, bit-identical to the scalar loop.
+        Only reachable when :meth:`_columns_supported` returned True for
+        ``collect``.  ``xs``/``ys`` are equal-length float64 arrays of
+        steady-state tuples; ``record_at(j)`` lazily materialises tuple
+        ``j`` as a :class:`Record` for the boundary records that step
+        through the scalar machinery.  With ``collect="all"`` one estimate
+        per tuple is appended to ``outputs``, bit-identical to the scalar
+        loop.
+
+        The one segment loop behind every family kernel:
+
+        1. *trace* — the family's producer (:meth:`_column_trace`) replays
+           the per-record statistics the scalar steps would compute.  The
+           chunk's *limit* is its first non-finite row, or an earlier
+           record the trace shows the scalar step rejecting;
+        2. *cut* — a segment ends at the earliest of the limit, the
+           family's static horizon (:meth:`_column_horizon`), the first
+           record its trigger mask flags (:meth:`_column_triggers`,
+           scanned ``SCAN_BLOCK`` records at a time) and the record that
+           runs the quantile swap countdown out (:meth:`_swap_cut` over
+           the fine-add mask of :meth:`_column_route`);
+        3. *scatter* — the segment's evictions (:meth:`_column_evict`)
+           and adds go, interleaved removal first, through one unbuffered
+           ``np.add.at`` over a combined accounts array: the fine
+           buckets, the family's coarse accounts (:attr:`_column_coarse`)
+           and a scratch slot at index -1 for no-op removals.
+           ``np.add.at`` applies its operands one by one in argument
+           order, so every account sees the scalar loop's sequence of
+           float additions;
+        4. *boundary* — the record that ended the segment steps through
+           :meth:`_column_step` (by default: sync the trace, then the
+           real scalar step), so reallocations, swaps, events, spans and
+           errors happen exactly where the scalar loop has them.
+
+        A trigger stays valid until it is stepped: the records cut
+        earlier (swaps, which move only interior edges) leave the focus
+        region alone, so the mask is rescanned only after a trigger.
         """
+        n = len(xs)
+        bad = ~(np.isfinite(xs) & np.isfinite(ys))
+        trace, limit = self._column_trace(xs, ys, int(np.argmax(bad)) if bad.any() else n)
+        pos = 0
+        trigger = -1
+        while pos < n:
+            if trigger < pos:
+                trigger = stop = self._column_horizon(pos, limit)
+                for block in range(pos, stop, SCAN_BLOCK):
+                    hits = self._column_triggers(trace, block, min(block + SCAN_BLOCK, stop))
+                    if hits.any():
+                        trigger = block + int(np.argmax(hits))
+                        break
+            boundary = trigger
+            if trigger > pos:
+                fine, coarse = self._column_route(xs[pos:trigger])
+                boundary = pos + self._swap_cut(fine)
+            if boundary > pos:
+                self._scatter_segment(trace, xs, ys, pos, boundary, fine, coarse, outputs, collect)
+            if boundary == n:
+                break
+            if boundary == limit:
+                # A non-finite input, or a record the trace shows the
+                # scalar step rejecting: sync everything and let that
+                # step raise its error with the scalar state.
+                self._sync_trace(trace, limit)
+                self._absorb(record_at(limit))
+            else:
+                self._column_step(trace, boundary, record_at, outputs, collect)
+            pos = boundary + 1
+        self._sync_trace(trace, n)
+
+    def _scatter_segment(
+        self, trace, xs, ys, pos, end, fine, coarse, outputs: list[float], collect: str
+    ) -> None:
+        """Step 3 of :meth:`_steady_columns`: apply records ``[pos, end)``.
+
+        ``fine`` and ``coarse`` are routed from ``pos`` on and may run
+        past ``end``.
+        """
+        inner = self._inner
+        assert inner is not None
+        edges = np.asarray(inner.edges)
+        m = len(edges) - 1
+        fine = fine[: end - pos]
+        if isinstance(coarse, np.ndarray):
+            coarse = coarse[: end - pos]
+        sx = xs[pos:end]
+        ops_w = ys[pos:end]
+        if coarse is None:  # the family discards what misses the fine buckets
+            sx = sx[fine]
+            ops_w = ops_w[fine]
+            ops = bucket_index(edges, sx)
+        else:
+            ops = np.where(fine, bucket_index(edges, sx), coarse)
+        ops_c = 1.0
+        stride = 1
+        removals = self._column_evict(trace, pos, end, fine, edges)
+        if removals is not None:
+            stride = 2
+            ops = np.column_stack((removals[0], ops)).ravel()
+            ops_c = np.tile((-1.0, 1.0), len(sx))
+            ops_w = np.column_stack((removals[1], ops_w)).ravel()
+        counts, weights = inner.mass_columns()
+        masses = self._column_coarse
+        acc_c = np.array([*counts, *(mass.count for mass in masses), 0.0])
+        acc_w = np.array([*weights, *(mass.weight for mass in masses), 0.0])
+        if collect == "all":
+            # Per-record answers re-run the scalar loop's exact float sums:
+            # one cumulative series per account (a sequential cumsum down
+            # the operations), read after each record's add.
+            hot = (ops % len(acc_c))[:, None] == np.arange(len(acc_c))
+            unit = ops_c if stride == 1 else ops_c[:, None]
+            series_c = np.concatenate((acc_c[None], np.where(hot, unit, 0.0))).cumsum(0)
+            series_w = np.concatenate((acc_w[None], np.where(hot, ops_w[:, None], 0.0))).cumsum(0)
+            rows = fine.cumsum() if coarse is None else np.arange(1, end - pos + 1)
+            outputs.extend(self._column_answers(series_c[rows * stride], series_w[rows * stride]))
+            acc_c = series_c[-1]
+            acc_w = series_w[-1]
+        else:
+            np.add.at(acc_c, ops, ops_c)
+            np.add.at(acc_w, ops, ops_w)
+        inner.set_mass_columns(acc_c[:m].tolist(), acc_w[:m].tolist())
+        if masses:
+            self._column_coarse = [
+                Mass(c, w) for c, w in zip(acc_c[m:-1].tolist(), acc_w[m:-1].tolist())
+            ]
+        self._count_adds(int(np.count_nonzero(fine)))
+
+    # ------------------------------------------------ columnar family hooks
+    #
+    # What each family's kernel really differs in.  ``trace`` is whatever
+    # the family's producer returns; only its own hooks read it.
+
+    def _column_trace(self, xs, ys, limit: int) -> tuple[object, int]:
+        """Trace producer: replay the chunk's per-record statistics.
+
+        Returns ``(trace, limit)``; the family may pull ``limit`` (the
+        first non-finite row, or ``len(xs)``) earlier to the first record
+        whose scalar step the trace shows raising.
+        """
+        raise NotImplementedError
+
+    def _column_horizon(self, pos: int, limit: int) -> int:
+        """Furthest record a segment starting at ``pos`` may reach
+        whatever the data (a periodic countdown), capped at ``limit``."""
+        return limit
+
+    def _column_triggers(self, trace, lo: int, hi: int):
+        """Boolean mask over chunk records ``[lo, hi)`` whose scalar step
+        moves the focus region (or fails), given the current region."""
+        raise NotImplementedError
+
+    def _column_route(self, sx):
+        """Routing rule for segment values ``sx`` under the current region.
+
+        Returns ``(fine, coarse)``: the mask of values that reach the fine
+        buckets, and for the others the accounts-array index they are
+        credited to (``m + i`` for coarse account ``i``), or ``None`` when
+        the family discards them.
+        """
+        raise NotImplementedError
+
+    #: The family's coarse accounts, in accounts-array order after the
+    #: fine buckets (a property where the family has any).
+    _column_coarse: tuple[Mass, ...] = ()
+
+    def _column_evict(self, trace, lo: int, hi: int, fine, edges):
+        """Removals the window applies before each add of records ``[lo, hi)``.
+
+        ``None`` for scopes that never evict; otherwise ``(index, weight)``
+        arrays with one unit-count removal per record — index -1, the
+        scratch slot, where the record evicts nothing.  Windowed families
+        also do their per-segment bookkeeping here.
+        """
+        return None
+
+    def _sync_trace(self, trace, upto: int) -> None:
+        """Load the live statistics the scalar loop holds after ``upto``
+        chunk records from the trace (nothing to do by default)."""
+
+    def _column_step(self, trace, t: int, record_at, outputs: list[float], collect: str) -> None:
+        """Step boundary record ``t`` through the real scalar machinery."""
+        self._sync_trace(trace, t)
+        record = record_at(t)
+        if collect == "all":
+            outputs.append(self.update(record))
+        else:
+            self._absorb(record)
+
+    def _column_answers(self, series_c, series_w):
+        """Per-record answers from cumulative account series (one row per
+        record after its add); only families that take ``collect="all"``
+        provide it."""
         raise NotImplementedError
 
     # ------------------------------------------------------------ merging

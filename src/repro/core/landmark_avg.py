@@ -151,39 +151,24 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         # records.
         return collect != "all"
 
-    def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
-        """Vectorised steady-state ingestion for the landmark-AVG scope.
+    def _column_trace(self, xs, ys, limit: int):
+        """Moment trace and CLT focus target for every chunk record.
 
-        A pure-Python replay of the Welford recurrence produces the
-        per-record moment trace (bit-identical to ``RunningMoments.push``,
-        since pushes are pure and deterministic); the CLT focus target is
-        then evaluated for the whole chunk at once, and the stream is cut
-        into segments at *boundary records* — reallocation triggers,
-        quantile merge/split swaps and non-finite inputs — which run
-        through the real scalar machinery after the staged state is
-        synced.  Between boundaries the focus region is static, so tail
-        mass accumulates via sequential-order cumulative sums and
-        fine-bucket mass via an unbuffered scatter, both bit-identical to
-        the scalar loop.
+        A pure-Python replay of the Welford recurrence gives the moments
+        after each record, bit-identical to ``RunningMoments.push``
+        (pushes are pure and deterministic); ``_target_interval`` is then
+        evaluated for the whole chunk at once.
         """
-        n = len(xs)
         moments = self._moments
         cnt = moments._count
         mean = moments._mean
         m2 = moments._m2
         mn = moments._min
         mx = moments._max
-        state0 = (cnt, mean, m2, mn, mx)
-        cnt_l: list[int] = []
-        mean_l: list[float] = []
-        m2_l: list[float] = []
-        mn_l: list[float] = []
-        mx_l: list[float] = []
-        ap_c = cnt_l.append
-        ap_mean = mean_l.append
-        ap_m2 = m2_l.append
-        ap_mn = mn_l.append
-        ap_mx = mx_l.append
+        # Entry 0 of each column is the pre-chunk state, entry i the state
+        # after chunk record i - 1.
+        states = ([cnt], [mean], [m2], [mn], [mx])
+        ap_c, ap_mean, ap_m2, ap_mn, ap_mx = (column.append for column in states)
         for x in xs.tolist():
             cnt += 1
             delta = x - mean
@@ -199,11 +184,9 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             ap_mn(mn)
             ap_mx(mx)
 
-        cnt_a = np.asarray(cnt_l, dtype=np.float64)
-        mean_a = np.asarray(mean_l)
-        m2_a = np.asarray(m2_l)
-        mn_a = np.asarray(mn_l)
-        mx_a = np.asarray(mx_l)
+        cnt_a, mean_a, m2_a, mn_a, mx_a = (
+            np.asarray(column, dtype=np.float64)[1:] for column in states
+        )
         # _clt_interval, op for op (max/min ties on ±0.0 only affect the
         # sign of a zero, which the trigger comparison takes abs() of).
         se = np.sqrt(np.maximum(m2_a / cnt_a, 0.0)) / np.sqrt(cnt_a)
@@ -220,95 +203,34 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             )
             lo_a = np.where(degenerate, np.maximum(mean_a - span, mn_a), lo_a)
             hi_a = np.where(degenerate, lo_a + 2.0 * span, hi_a)
+        return (states, lo_a, hi_a), limit
 
-        bad = ~(np.isfinite(xs) & np.isfinite(ys))
-        first_bad = int(np.argmax(bad)) if bad.any() else n
+    def _column_triggers(self, trace, lo: int, hi: int):
+        # _should_reallocate against the live focus region.
+        _, lo_a, hi_a = trace
+        inner = self._inner
+        assert inner is not None
+        il, ih = inner.low, inner.high
+        tolerance = self._drift_tolerance * ((ih - il) / self._inner_m)
+        return (np.abs(lo_a[lo:hi] - il) > tolerance) | (np.abs(hi_a[lo:hi] - ih) > tolerance)
 
-        pos = 0
-        scan_block = 1024
-        rescan = True
-        while pos < n:
-            inner = self._inner
-            assert inner is not None
-            il = inner.low
-            ih = inner.high
-            if rescan:
-                # First reallocation trigger at or after pos, scanned in
-                # blocks so a trigger-dense stream stays O(n) overall.
-                tolerance = self._drift_tolerance * ((ih - il) / self._inner_m)
-                trigger = first_bad
-                block = pos
-                while block < first_bad:
-                    stop = min(block + scan_block, first_bad)
-                    trig = (np.abs(lo_a[block:stop] - il) > tolerance) | (
-                        np.abs(hi_a[block:stop] - ih) > tolerance
-                    )
-                    if trig.any():
-                        trigger = block + int(np.argmax(trig))
-                        break
-                    block = stop
+    def _column_route(self, sx):
+        # _classify: the left tail is account m, the right tail m + 1.
+        inner = self._inner
+        assert inner is not None
+        above = sx > inner.high
+        return ~((sx < inner.low) | above), inner.num_buckets + above
 
-            boundary = trigger
-            if trigger > pos:
-                sx = xs[pos:trigger]
-                sy = ys[pos:trigger]
-                is_left = sx < il
-                is_right = sx > ih
-                in_focus = ~(is_left | is_right)
-                # The in-focus record that runs the quantile swap countdown
-                # out is a boundary too.  A swap moves only interior edges,
-                # so the trigger found above still stands after it.
-                cut = self._swap_cut(in_focus)
-                if pos + cut < trigger:
-                    boundary = pos + cut
-                    sx, sy, in_focus = sx[:cut], sy[:cut], in_focus[:cut]
-                    is_left, is_right = is_left[:cut], is_right[:cut]
-            rescan = boundary == trigger
+    @property
+    def _column_coarse(self) -> tuple[Mass, Mass]:
+        return (self._left_tail, self._right_tail)
 
-            if boundary > pos:
-                n_left = int(np.count_nonzero(is_left))
-                n_right = int(np.count_nonzero(is_right))
-                n_focus = boundary - pos - n_left - n_right
-                if n_left:
-                    tail = self._left_tail
-                    self._left_tail = Mass(
-                        float(np.cumsum(np.concatenate(((tail.count,), np.ones(n_left))))[-1]),
-                        float(np.cumsum(np.concatenate(((tail.weight,), sy[is_left])))[-1]),
-                    )
-                if n_right:
-                    tail = self._right_tail
-                    self._right_tail = Mass(
-                        float(np.cumsum(np.concatenate(((tail.count,), np.ones(n_right))))[-1]),
-                        float(np.cumsum(np.concatenate(((tail.weight,), sy[is_right])))[-1]),
-                    )
-                if n_focus:
-                    counts, weights = inner.mass_columns()
-                    counts_a = np.asarray(counts)
-                    weights_a = np.asarray(weights)
-                    edges = np.asarray(inner.edges)
-                    idx = np.searchsorted(edges, sx[in_focus], side="right") - 1
-                    np.minimum(idx, len(counts) - 1, out=idx)
-                    np.add.at(counts_a, idx, 1.0)
-                    np.add.at(weights_a, idx, sy[in_focus])
-                    inner.set_mass_columns(counts_a, weights_a)
-                    self._count_adds(n_focus)
+    @_column_coarse.setter
+    def _column_coarse(self, masses) -> None:
+        self._left_tail, self._right_tail = masses
 
-            if boundary < n:
-                # Sync the moments to the pre-boundary trace entry, then
-                # run the boundary record through the real scalar path:
-                # its push re-derives the trace entry bit-for-bit, and a
-                # reallocation, a quantile swap or the non-finite raise
-                # happens exactly where the scalar loop would have put it.
-                j = boundary - 1
-                if j >= 0:
-                    moments.load(cnt_l[j], mean_l[j], m2_l[j], mn_l[j], mx_l[j])
-                else:
-                    moments.load(*state0)
-                self._absorb(record_at(boundary))
-                pos = boundary + 1
-            else:
-                moments.load(cnt_l[-1], mean_l[-1], m2_l[-1], mn_l[-1], mx_l[-1])
-                pos = n
+    def _sync_trace(self, trace, upto: int) -> None:
+        self._moments.load(*(column[upto] for column in trace[0]))
 
     def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:
         # The mean cannot jump without the data moving it: only true

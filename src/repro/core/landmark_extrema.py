@@ -25,12 +25,12 @@ This is the leanest subclass of the shared kernel
 (:mod:`repro.core.focused`): no tails (every bucket is a focus bucket),
 no drift deadband (the region moves only on a new extremum), and a
 purge-as-you-go warmup.  Because the steady-state step is so small —
-compare, maybe shift, add, total — it also carries the kernel's hottest
-columnar path: :meth:`~LandmarkExtremaEstimator._steady_columns`
-vectorises whole chunks (membership masks, one ``searchsorted`` per
-segment, scatter-adds into staged bucket arrays) and drops to the real
-scalar machinery only at region shifts, quantile merge/split swaps and
-error boundaries.
+compare, maybe shift, add, total — it is also the kernel's hottest
+columnar path: its trace is just the running prior extremum, so the
+shared segment loop
+(:meth:`~repro.core.focused.FocusedEstimatorBase._steady_columns`)
+vectorises whole chunks and drops to the real scalar machinery only at
+region shifts, quantile merge/split swaps and error boundaries.
 """
 
 from __future__ import annotations
@@ -248,142 +248,52 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
         # merge/split swaps fire only inside the scalar boundary calls.
         return collect != "all" or not self._tracer.enabled
 
-    def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
-        # Chunk plan: precompute the running prior extremum (pure data, so
-        # it stays valid across in-chunk shifts), mark every region shift
-        # and non-finite input as a hard boundary, cut a segment short at
-        # the record that fires the next quantile swap, vectorise the
-        # segments between boundaries (membership masks, searchsorted,
-        # sequential scatter-adds into staged bucket arrays — np.add.at
-        # applies element-by-element in argument order, so float
-        # accumulation matches the scalar loop bit for bit), and push each
-        # boundary record through the real scalar machinery after syncing
-        # the staged mass back into the histogram.
-        n = len(xs)
-        if n == 0:
-            return
-        query = self._query
-        is_min = query.independent == "min"
-        dep_count = query.dependent == "count"
-        dep_sum = query.dependent == "sum"
-        collect_all = collect == "all"
-
-        finite = np.isfinite(xs) & np.isfinite(ys)
+    def _column_trace(self, xs, ys, limit: int):
+        # The running prior extremum is pure data, so it stays valid across
+        # in-chunk shifts; the records that beat it are the region shifts.
+        is_min = self._query.independent == "min"
         running = np.minimum.accumulate(xs) if is_min else np.maximum.accumulate(xs)
-        prior = np.empty(n)
+        prior = np.empty(len(xs))
         prior[0] = self._extremum
-        if n > 1:
+        if len(xs) > 1:
             if is_min:
                 np.minimum(running[:-1], self._extremum, out=prior[1:])
             else:
                 np.maximum(running[:-1], self._extremum, out=prior[1:])
-        shift = (xs < prior) if is_min else (xs > prior)
-        hard = np.flatnonzero(shift | ~finite)
-        hard_pos = 0
+        return (xs, (xs < prior) if is_min else (xs > prior)), limit
 
-        inner = self._inner
-        assert inner is not None and self._region is not None
-        counts, weights = inner.mass_columns()
-        counts = np.asarray(counts)
-        weights = np.asarray(weights)
-        edges_list = inner.edges
-        edges = np.asarray(edges_list)
-        m = len(counts)
+    def _column_triggers(self, trace, lo: int, hi: int):
+        xs, shift = trace
+        hits = shift[lo:hi]
         low, high = self._region
-
-        pos = 0
-        while pos < n:
-            while hard_pos < len(hard) and hard[hard_pos] < pos:
-                hard_pos += 1
-            seg_end = int(hard[hard_pos]) if hard_pos < len(hard) else n
-            sx = xs[pos:seg_end]
-            sy = ys[pos:seg_end]
-            in_region = (sx >= low) & (sx <= high)
+        edges = self._inner.edges
+        if low < edges[0] or high > edges[-1]:
             # Region and histogram edges can disagree by a float after a
-            # piecemeal truncation; such a record takes locate's checked
-            # error path in the scalar loop, so it is a boundary here too.
-            odd = in_region & ((sx < edges_list[0]) | (sx > edges_list[-1]))
-            boundary = seg_end
-            if odd.any():
-                boundary = pos + int(np.argmax(odd))
-            # The in-region record that runs the quantile swap countdown
-            # out is a boundary too: its scalar step swaps exactly there.
-            boundary = min(boundary, pos + self._swap_cut(in_region))
-            if boundary < seg_end:
-                sx = xs[pos:boundary]
-                sy = ys[pos:boundary]
-                in_region = in_region[: boundary - pos]
-            if boundary > pos:
-                idx = np.searchsorted(edges, sx[in_region], side="right") - 1
-                np.minimum(idx, m - 1, out=idx)
-                if collect_all:
-                    # Per-record totals must re-run the scalar loop's exact
-                    # float sums: per-bucket cumulative series (sequential
-                    # cumsum down the chunk), then the bucket-order
-                    # left-to-right accumulation sum() performs.
-                    seg_n = boundary - pos
-                    full_idx = np.full(seg_n, -1, dtype=np.int64)
-                    full_idx[in_region] = idx
-                    onehot = full_idx[:, None] == np.arange(m)[None, :]
-                    series_c = np.cumsum(
-                        np.vstack([counts[None, :], onehot.astype(np.float64)]),
-                        axis=0,
-                    )[1:]
-                    series_w = np.cumsum(
-                        np.vstack(
-                            [weights[None, :], np.where(onehot, sy[:, None], 0.0)]
-                        ),
-                        axis=0,
-                    )[1:]
-                    counts = series_c[-1].copy()
-                    weights = series_w[-1].copy()
-                    if dep_count or not dep_sum:
-                        total_c = series_c[:, 0].copy()
-                        for j in range(1, m):
-                            total_c += series_c[:, j]
-                    if dep_sum or not dep_count:
-                        total_w = series_w[:, 0].copy()
-                        for j in range(1, m):
-                            total_w += series_w[:, j]
-                    if dep_count:
-                        out = np.where(total_c >= 0.0, total_c, 0.0)
-                    elif dep_sum:
-                        out = np.where(total_w >= 0.0, total_w, 0.0)
-                    else:
-                        out = np.where(
-                            total_c > 0.0,
-                            np.where(total_w >= 0.0, total_w, 0.0)
-                            / np.where(total_c > 0.0, total_c, 1.0),
-                            0.0,
-                        )
-                    outputs.extend(out.tolist())
-                else:
-                    np.add.at(counts, idx, 1.0)
-                    np.add.at(weights, idx, sy[in_region])
-                self._count_adds(len(idx))
-            if boundary >= n:
-                break
-            # Boundary record: sync staged mass, run the scalar step (region
-            # shift with its obs events and reallocation, a quantile swap,
-            # or the identical StreamError/HistogramError raise), then
-            # re-stage the edges the step may have moved.
-            inner.set_mass_columns(counts, weights)
-            record = record_at(boundary)
-            if collect_all:
-                outputs.append(self.update(record))
-            else:
-                self._absorb(record)
-            inner = self._inner
-            assert inner is not None
-            counts, weights = inner.mass_columns()
-            counts = np.asarray(counts)
-            weights = np.asarray(weights)
-            edges_list = inner.edges
-            edges = np.asarray(edges_list)
-            low, high = self._region
-            pos = boundary + 1
-        assert inner is not None
-        inner.set_mass_columns(counts, weights)
+            # piecemeal truncation; an in-region record outside the edges
+            # takes locate's checked error path in the scalar loop, so it
+            # steps through that loop here too.
+            sx = xs[lo:hi]
+            hits = hits | ((sx >= low) & (sx <= high) & ((sx < edges[0]) | (sx > edges[-1])))
+        return hits
+
+    def _column_route(self, sx):
+        # Out-of-region tuples can never qualify: they are discarded.
+        low, high = self._region
+        return (sx >= low) & (sx <= high), None
+
+    def _column_answers(self, series_c, series_w):
+        # estimate(), vectorised: total() sums the fine buckets left to
+        # right, as a cumsum along each row does; then clamp and fold.
+        m = self._inner.num_buckets
+        count = series_c[:, :m].cumsum(axis=1)[:, -1]
+        count = np.where(count >= 0.0, count, 0.0)
+        if self._query.dependent == "count":
+            return count.tolist()
+        weight = series_w[:, :m].cumsum(axis=1)[:, -1]
+        weight = np.where(weight >= 0.0, weight, 0.0)
+        if self._query.dependent == "sum":
+            return weight.tolist()
+        return np.where(count > 0.0, weight / np.where(count > 0.0, count, 1.0), 0.0).tolist()
 
     # ------------------------------------------------------------- merging
 

@@ -31,10 +31,16 @@ own routing, reallocation (with the clamp-back spill conservation), and
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.focused import STRATEGIES, FocusedEstimatorBase, RingWindowMixin
+from repro.core.focused import (
+    STRATEGIES,
+    FocusedEstimatorBase,
+    RingWindowMixin,
+    bucket_index,
+)
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.bucket import ZERO_MASS, Mass
@@ -225,32 +231,23 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
     # --------------------------------------------------- columnar kernel
 
     def _columns_supported(self, collect: str) -> bool:
-        # collect="all" would need a per-record estimate_leq interpolation;
-        # obs sinks see per-record window.expire events — both stay on the
-        # scalar loop.  Tracing opens spans only at boundary records.
-        return (
-            collect != "all"
-            and not self._obs.enabled
-            and self._policy != "quantile"
-        )
+        # collect="all" would need a per-record estimate_leq interpolation,
+        # so it stays on the scalar loop.  Tracing opens spans only at
+        # boundary records; window.expire events are emitted per segment.
+        return collect != "all"
 
-    def _steady_columns(self, xs, ys, record_at, outputs, collect: str) -> None:
-        """Vectorised steady-state ingestion for the sliding-extrema scope.
+    def _column_trace(self, xs, ys, limit: int):
+        """Window trace: both interval trackers and the eviction history.
 
         A pure-Python replay of both interval trackers produces the
         per-record ``extremum()``/``worst_local()`` trace (the folds are
         maintained incrementally: recomputed at interval turnover, one
         comparison per record otherwise — bit-identical to the tracker's
-        left folds).  Eviction is resolved from a history array (the
-        pre-chunk ring contents followed by the chunk itself): record
-        ``i`` evicts history entry ``s + i - w``.  Between boundary
-        records (reallocation triggers, periodic-rebuild countdowns,
-        negative extrema, non-finite inputs) the region is static, so
-        each segment's remove/add pairs are interleaved into one
-        unbuffered scatter over a combined accounts array — fine buckets,
-        the catch-all tail, and a no-op scratch slot — preserving the
-        scalar loop's per-account operation order exactly.  Tracker
-        snapshots every few hundred records keep boundary syncs cheap.
+        left folds), with tracker snapshots every few hundred records to
+        keep boundary syncs cheap.  Eviction is resolved from a history
+        array (the pre-chunk ring contents followed by the chunk itself):
+        record ``i`` evicts history entry ``s0 + i - w``.  A negative
+        extremum pulls the limit in: ``_target_interval`` raises there.
         """
         n = len(xs)
         mode_min = self._mode == "min"
@@ -332,12 +329,13 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
             else:
                 ap_ext(best_t if best_t >= cur_t else cur_t)
                 ap_worst(worst_t if worst_t <= cur_t else cur_t)
+        final = (tuple(loc_t), cur_t, tuple(loc_o), cur_o, cnt_c)
 
         ext_a = np.asarray(ext_l)
         worst_a = np.asarray(worst_l)
         one_eps = 1.0 + self._query.epsilon
         # _target_interval, op for op.  Entries at/past the non-finite cut
-        # below are never read, so their NaN arithmetic warnings are noise.
+        # are never read, so their NaN arithmetic warnings are noise.
         with np.errstate(invalid="ignore", over="ignore"):
             if mode_min:
                 lo_a = ext_a
@@ -348,9 +346,6 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
             hi_a = np.where(
                 hi_raw <= lo_a, lo_a + np.maximum(np.abs(lo_a) * 1e-9, 1e-12), hi_raw
             )
-
-        bad = ~(np.isfinite(xs) & np.isfinite(ys))
-        limit = int(np.argmax(bad)) if bad.any() else n
         neg = ext_a[:limit] < 0.0
         if neg.any():
             limit = int(np.argmax(neg))
@@ -359,7 +354,6 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         # chunk itself.  Chunk sides are filled segment by segment.
         pre = [cell for cell in self._ring]
         s0 = len(pre)
-        w = self._window
         hx = np.concatenate(
             (np.fromiter((c[0].x for c in pre), dtype=np.float64, count=s0), xs)
         )
@@ -374,25 +368,28 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         def sync_trackers(upto: int) -> None:
             """Restore both live trackers to the state after ``upto`` chunk
             records (snapshot + replay, bit-identical by determinism)."""
-            q = min(upto // snap_every, len(snaps) - 1)
-            lt, ct, lo_, co, cc = snaps[q]
-            lt = list(lt)
-            lo_ = list(lo_)
-            for j in range(q * snap_every, upto):
-                xj = xl[j]
-                ct = xj if ct is None else better(ct, xj)
-                co = xj if co is None else worse(co, xj)
-                cc += 1
-                if cc == ilen:
-                    lt.append(ct)
-                    lo_.append(co)
-                    ct = None
-                    co = None
-                    cc = 0
-                    while len(lt) > kmax:
-                        lt.pop(0)
-                    while len(lo_) > kmax:
-                        lo_.pop(0)
+            if upto == n:
+                lt, ct, lo_, co, cc = final
+            else:
+                q = min(upto // snap_every, len(snaps) - 1)
+                lt, ct, lo_, co, cc = snaps[q]
+                lt = list(lt)
+                lo_ = list(lo_)
+                for j in range(q * snap_every, upto):
+                    xj = xl[j]
+                    ct = xj if ct is None else better(ct, xj)
+                    co = xj if co is None else worse(co, xj)
+                    cc += 1
+                    if cc == ilen:
+                        lt.append(ct)
+                        lo_.append(co)
+                        ct = None
+                        co = None
+                        cc = 0
+                        while len(lt) > kmax:
+                            lt.pop(0)
+                        while len(lo_) > kmax:
+                            lo_.pop(0)
             tracked._locals = deque(lt)
             tracked._current = ct
             tracked._current_count = cc
@@ -405,7 +402,7 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         def sync_ring(upto: int) -> None:
             """Rebuild the live window as of ``upto`` chunk records from
             the history arrays."""
-            keep = min(w, s0 + upto)
+            keep = min(self._window, s0 + upto)
             start = s0 + upto - keep
             stop = s0 + upto
             self._ring.load(
@@ -419,122 +416,73 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
                 ]
             )
 
-        pos = 0
-        scan_block = 1024
-        while pos < n:
-            inner = self._inner
-            assert inner is not None
-            il = inner.low
-            ih = inner.high
-            m = inner.num_buckets
-            deadband = self._drift_tolerance * ((ih - il) / self._inner_m)
-            ssr0 = self._steps_since_rebuild
-            # First boundary at or after pos: reallocation trigger,
-            # periodic-rebuild countdown, or the non-finite/negative cut.
-            boundary = limit
-            if self._rebuild_period:
-                boundary = min(
-                    boundary, pos + max(self._rebuild_period - ssr0 - 1, 0)
-                )
-            block = pos
-            while block < boundary:
-                stop = min(block + scan_block, boundary)
-                if mode_min:
-                    trig = (np.abs(lo_a[block:stop] - il) > deadband) | (
-                        one_eps * ext_a[block:stop] > ih
-                    )
-                else:
-                    trig = (np.abs(hi_a[block:stop] - ih) > deadband) | (
-                        ext_a[block:stop] / one_eps < il
-                    )
-                if trig.any():
-                    boundary = block + int(np.argmax(trig))
-                    break
-                block = stop
+        trace = SimpleNamespace(
+            ext=ext_a, lo=lo_a, hi=hi_a, one_eps=one_eps, s0=s0, hx=hx, hy=hy,
+            hside=hside, sync_trackers=sync_trackers, sync_ring=sync_ring,
+        )
+        return trace, limit
 
-            if boundary > pos:
-                seg_len = boundary - pos
-                seg_x = xs[pos:boundary]
-                seg_y = ys[pos:boundary]
-                edges = np.asarray(inner.edges)
-                in_focus = (seg_x <= ih) if mode_min else (seg_x >= il)
-                loc_idx = np.searchsorted(edges, np.clip(seg_x, il, ih), side="right") - 1
-                np.minimum(loc_idx, m - 1, out=loc_idx)
-                add_idx = np.where(in_focus, loc_idx, m)
-                hside[s0 + pos : s0 + boundary] = np.where(in_focus, 0, 1).astype(np.int8)
-                rm_idx = np.full(seg_len, m + 1, dtype=np.int64)
-                rm_c = np.zeros(seg_len)
-                rm_w = np.zeros(seg_len)
-                first_ev = max(pos, w - s0)
-                if first_ev < boundary:
-                    h_lo = s0 + first_ev - w
-                    h_hi = s0 + boundary - w
-                    ev_y = hy[h_lo:h_hi]
-                    ev_in = hside[h_lo:h_hi] == 0
-                    ev_loc = (
-                        np.searchsorted(
-                            edges, np.clip(hx[h_lo:h_hi], il, ih), side="right"
-                        )
-                        - 1
-                    )
-                    np.minimum(ev_loc, m - 1, out=ev_loc)
-                    sl = slice(first_ev - pos, seg_len)
-                    rm_idx[sl] = np.where(ev_in, ev_loc, m)
-                    rm_c[sl] = -1.0
-                    rm_w[sl] = -ev_y
-                counts, weights = inner.mass_columns()
-                acc_c = np.concatenate((counts, (self._tail.count, 0.0)))
-                acc_w = np.concatenate((weights, (self._tail.weight, 0.0)))
-                idx2 = np.empty(2 * seg_len, dtype=np.int64)
-                idx2[0::2] = rm_idx
-                idx2[1::2] = add_idx
-                val_c = np.empty(2 * seg_len)
-                val_c[0::2] = rm_c
-                val_c[1::2] = 1.0
-                val_w = np.empty(2 * seg_len)
-                val_w[0::2] = rm_w
-                val_w[1::2] = seg_y
-                np.add.at(acc_c, idx2, val_c)
-                np.add.at(acc_w, idx2, val_w)
-                inner.set_mass_columns(acc_c[:m], acc_w[:m])
-                self._tail = Mass(float(acc_c[m]), float(acc_w[m]))
-                self._steps_since_rebuild = ssr0 + seg_len
+    def _column_horizon(self, pos: int, limit: int) -> int:
+        # The periodic-rebuild countdown runs out on a fixed record.
+        if not self._rebuild_period:
+            return limit
+        return min(limit, pos + max(self._rebuild_period - self._steps_since_rebuild - 1, 0))
 
-            if boundary < n:
-                if boundary == limit:
-                    # Non-finite input or negative extremum: full sync,
-                    # then the real scalar path — which raises exactly
-                    # where (and with exactly the partial state) the
-                    # scalar loop would.
-                    sync_trackers(boundary)
-                    sync_ring(boundary)
-                    self._absorb(record_at(boundary))
-                    hside[s0 + boundary] = (
-                        0 if self._ring.newest()[1] == "I" else 1
-                    )
-                else:
-                    self._boundary_step(
-                        boundary, s0, hx, hy, hside, record_at, sync_trackers, sync_ring
-                    )
-                pos = boundary + 1
-            else:
-                pos = n
+    def _column_triggers(self, trace, lo: int, hi: int):
+        # _should_reallocate against the live focus region.
+        inner = self._inner
+        assert inner is not None
+        il, ih = inner.low, inner.high
+        deadband = self._drift_tolerance * ((ih - il) / self._inner_m)
+        ext = trace.ext[lo:hi]
+        if self._mode == "min":
+            return (np.abs(trace.lo[lo:hi] - il) > deadband) | (trace.one_eps * ext > ih)
+        return (np.abs(trace.hi[lo:hi] - ih) > deadband) | (ext / trace.one_eps < il)
 
-        # End of chunk: install the final tracker states and rebuild the
-        # live window from the history tail.
-        tracked._locals = deque(loc_t)
-        tracked._current = cur_t
-        tracked._current_count = cnt_c
-        tracked._total_seen = ts0 + n
-        opposite._locals = deque(loc_o)
-        opposite._current = cur_o
-        opposite._current_count = cnt_c
-        opposite._total_seen = ts0 + n
-        sync_ring(n)
+    def _column_route(self, sx):
+        # _in_focus; everything else goes to the catch-all, account m.
+        inner = self._inner
+        assert inner is not None
+        fine = (sx <= inner.high) if self._mode == "min" else (sx >= inner.low)
+        return fine, inner.num_buckets
 
-    def _boundary_step(
-        self, t: int, s0: int, hx, hy, hside, record_at, sync_trackers, sync_ring
-    ) -> None:
+    @property
+    def _column_coarse(self) -> tuple[Mass]:
+        return (self._tail,)
+
+    @_column_coarse.setter
+    def _column_coarse(self, masses) -> None:
+        (self._tail,) = masses
+
+    def _column_evict(self, trace, lo: int, hi: int, fine, edges):
+        # Record the segment's sides for later evictions, advance the
+        # rebuild countdown, and remove each record's evictee from the
+        # account its side names — all before the scatter, which applies
+        # each removal ahead of its record's add, as _step does.
+        s0 = trace.s0
+        hside = trace.hside
+        hside[s0 + lo : s0 + hi] = ~fine
+        self._steps_since_rebuild += hi - lo
+        first = max(lo, self._window - s0)
+        if first >= hi:
+            return None
+        evicted = slice(s0 + first - self._window, s0 + hi - self._window)
+        sides = hside[evicted]
+        m = len(edges) - 1
+        index = np.full(hi - lo, -1)
+        weight = np.zeros(hi - lo)
+        index[first - lo :] = np.where(sides == 0, bucket_index(edges, trace.hx[evicted]), m)
+        weight[first - lo :] = -trace.hy[evicted]
+        if self._obs.enabled:
+            for side in sides.tolist():
+                self._obs.emit("window.expire", count=1.0, side="T" if side else "I")
+        return index, weight
+
+    def _sync_trace(self, trace, upto: int) -> None:
+        trace.sync_trackers(upto)
+        trace.sync_ring(upto)
+
+    def _column_step(self, trace, t: int, record_at, outputs, collect: str) -> None:
         """One boundary record through the scalar machinery, ring deferred.
 
         Replays :meth:`update`'s step for chunk record ``t`` — tracker
@@ -548,19 +496,21 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         reallocations never touch it, which keeps trigger-dense streams
         off the O(w) resync path.
         """
-        sync_trackers(t + 1)
+        trace.sync_trackers(t + 1)
         w = self._window
+        s0 = trace.s0
+        hside = trace.hside
         if s0 + t >= w:
             h = s0 + t - w
-            self._route_remove(
-                Record(float(hx[h]), float(hy[h])),
-                "I" if hside[h] == 0 else "T",
-            )
+            side = "I" if hside[h] == 0 else "T"
+            self._route_remove(Record(float(trace.hx[h]), float(trace.hy[h])), side)
+            if self._obs.enabled:
+                self._obs.emit("window.expire", count=1.0, side=side)
         lo, hi = self._target_interval()
         self._steps_since_rebuild += 1
         rebuilt = False
         if self._rebuild_period and self._steps_since_rebuild >= self._rebuild_period:
-            sync_ring(t + 1)  # the rebuild scans the live window
+            trace.sync_ring(t + 1)  # the rebuild scans the live window
             self._rebuild_from_window(lo, hi, reason="periodic")
             rebuilt = True
         elif self._should_reallocate(lo, hi):
@@ -569,7 +519,7 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
             overlap = min(hi, old_hi) - max(lo, old_lo)
             union = max(hi, old_hi) - min(lo, old_lo)
             if overlap <= 0.25 * union:
-                sync_ring(t + 1)  # the regime rebuild scans the live window
+                trace.sync_ring(t + 1)  # the regime rebuild scans the live window
             with self._tracer.span("kernel.reallocate", low=lo, high=hi):
                 self._reallocate(lo, hi)
             rebuilt = self._steps_since_rebuild == 0

@@ -44,6 +44,7 @@ from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.parallel.mergeable import merge_all
 from repro.parallel.partition import RangePartitioner, RoundRobinPartitioner, make_partitioner
 from repro.parallel.transport import ShmTransport
 from repro.streams.model import Record
@@ -395,9 +396,7 @@ class ShardedIngestor:
                 summaries[message[1]] = message[2]
                 counts[message[1]] = message[3]
         with self._tracer.span("parallel.merge", shards=float(self._shards)):
-            merged = summaries[0]
-            for shard in range(1, self._shards):
-                merged.merge_from(summaries[shard])
+            merged = merge_all([summaries[shard] for shard in range(self._shards)])
         try:
             self._last_bound = merged.merge_error_bound()
         except ConfigurationError:  # AVG dependents have no defined bound

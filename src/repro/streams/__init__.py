@@ -8,13 +8,17 @@ record per step, does bounded-space work, and emits one output per step
   protocol, and helpers to run an algorithm over a stream.
 * :mod:`~repro.streams.scopes` — full-window, landmark, and sliding-window
   scope functions, both in the paper's mathematical form (position sets) and
-  as incremental *scope drivers* used by estimators.
+  as incremental *scope drivers* for the level-0 operators below.
 * :mod:`~repro.streams.ordering` — arrival-order transforms used in the
   paper's sensitivity analyses (random permutation, partially-sorted
   reverse).
 * :mod:`~repro.streams.operators` — exact level-0 stream aggregate
   operators (running COUNT/SUM/AVG/MIN/MAX with scope and predicate), the
   building blocks the paper's Section 2 examples compose.
+
+The correlated estimators use neither the scope drivers nor the level-0
+operators: each keeps its own scope state (running moments, a ring
+window, a time-ordered deque) inside :mod:`repro.core`.
 """
 
 from repro.streams.model import Record, StreamAlgorithm, materialize, run_stream

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError, StreamError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
 
 #: Valid ``collect=`` modes for batched ingestion.
 COLLECT_MODES = ("all", "last", "none")
@@ -186,37 +183,6 @@ class ObservableAlgorithm(StreamAlgorithm, Protocol):
     def obs_state(self) -> dict[str, float]:
         """Current state-size gauges, name → value."""
         ...
-
-
-def profile_stream(
-    algorithm: StreamAlgorithm,
-    stream: Iterable[Record],
-    registry: "MetricsRegistry",
-) -> list[float]:
-    """Drive ``algorithm`` over ``stream``, timing every update.
-
-    Each ``update`` call is clocked with :func:`time.perf_counter_ns` into
-    the registry's ``update.latency_ns`` timer; if the algorithm is
-    :class:`ObservableAlgorithm`, its final ``obs_state()`` lands in
-    ``state.<key>`` gauges.  Returns the full output sequence.
-    """
-    from time import perf_counter_ns
-
-    timer = registry.timer("update.latency_ns")
-    observe = timer.observe_ns
-    update = algorithm.update
-    outputs: list[float] = []
-    for item in stream:
-        record = item if isinstance(item, Record) else Record(*item)
-        start = perf_counter_ns()
-        value = update(record)
-        observe(perf_counter_ns() - start)
-        outputs.append(value)
-    state_fn = getattr(algorithm, "obs_state", None)
-    if state_fn is not None:
-        for key, value in state_fn().items():
-            registry.gauge(f"state.{key}").set(value)
-    return outputs
 
 
 def run_stream(algorithm: StreamAlgorithm, stream: Iterable[Record]) -> Iterator[float]:

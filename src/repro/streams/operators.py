@@ -7,11 +7,14 @@ that does not itself contain an aggregate — e.g. Example 1's
 
 These are exactly computable in bounded space for COUNT/SUM/AVG (running
 counters) and for extrema over landmark scopes (monotone); sliding-window
-extrema use the monotonic deque.  They serve three roles in this repo:
+extrema use the monotonic deque.  They serve two roles in this repo:
 
-1. building blocks for the examples that mirror the paper's Section 2;
-2. independent-aggregate inputs inside the correlated estimators;
-3. ground truth in tests for the scope drivers.
+1. building blocks for the examples that mirror the paper's Section 2
+   (``examples/telecom_fraud.py``);
+2. ground truth in tests for the scope drivers.
+
+The correlated estimators do not use them: each tracks its independent
+aggregate itself (:mod:`repro.structures` and :mod:`repro.core`).
 """
 
 from __future__ import annotations

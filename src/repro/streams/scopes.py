@@ -13,10 +13,13 @@ Two representations are provided:
 1. The *mathematical* form — ``*_scope_positions`` functions returning
    ``range`` objects over 1-based positions, used in tests and in the exact
    semantics documentation.
-2. Incremental :class:`Scope` drivers — per-step objects telling an
-   estimator what a new arrival implies: whether the scope *reset* (a
-   landmark was crossed) and which position *expired* (slid out), so
-   estimators never re-enumerate position sets.
+2. Incremental :class:`Scope` drivers — per-step objects telling a
+   level-0 operator (:mod:`repro.streams.operators`) what a new arrival
+   implies: whether the scope *reset* (a landmark was crossed) and which
+   position *expired* (slid out), so it never re-enumerates position sets.
+
+The correlated estimators in :mod:`repro.core` do not use these drivers;
+each tracks its own scope.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def landmark_scope_positions(i: int, landmarks: Sequence[int]) -> range:
 
 
 class ScopeEvent(NamedTuple):
-    """What the arrival at the next position means for an estimator.
+    """What the arrival at the next position means for a stream operator.
 
     Attributes
     ----------
@@ -62,7 +65,7 @@ class ScopeEvent(NamedTuple):
         The (1-based) position of the arriving record.
     reset:
         True when the scope restarts at this position (a landmark), so the
-        estimator must clear all state *before* ingesting the record.
+        operator must clear all state *before* ingesting the record.
     expired:
         Position that just left the scope (sliding windows), or ``None``.
     """

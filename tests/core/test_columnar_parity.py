@@ -365,13 +365,14 @@ def test_time_sliding_timed_collect_modes(stream):
 # --------------------------------------------------------- quantile policy
 #
 # Under the quantile policy every fine-bucket insert counts toward the
-# next merge/split swap.  The landmark kernels cut their vectorised
-# segments at the record that runs the countdown out and step it through
-# the scalar machinery, so swaps land on exactly the scalar record.
+# next merge/split swap.  The columnar kernel cuts its vectorised
+# segments at the record that runs the countdown out and steps it through
+# the scalar machinery, so swaps land on exactly the scalar record — in
+# the sliding window too, where that record also evicts.
 
 QUANTILE_METHODS = ("wholesale-quantile", "piecemeal-quantile")
 QUANTILE_BATCH_SIZES = (1, 7, 32, 4096)
-LANDMARK_FAMILIES = ("landmark_extrema", "landmark_avg")
+QUANTILE_FAMILIES = ("landmark_extrema", "landmark_avg", "sliding_extrema")
 
 
 def _quantile_stream(family: str, n: int = 1500) -> list[Record]:
@@ -379,12 +380,13 @@ def _quantile_stream(family: str, n: int = 1500) -> list[Record]:
 
     Extrema: a slowly falling floor scaled by up to 3x, so nearly every
     record lands inside ``[min, 100 * min]`` and new minima (region
-    shifts) keep arriving.  AVG: 70% of the records sit on the mean
+    shifts) keep arriving — in the sliding window, as old minima expire
+    and fresh ones arrive.  AVG: 70% of the records sit on the mean
     (inside the CLT focus) and 30% spread wide, so the narrowing focus
     keeps triggering reallocations.
     """
     rng = random.Random(3)
-    if family == "landmark_extrema":
+    if family.endswith("extrema"):
         return [
             Record((1000.0 - 0.5 * i) * rng.uniform(0.9, 3.0), rng.uniform(0.5, 2.0))
             for i in range(n)
@@ -443,14 +445,14 @@ def _assert_same(batched, batched_sink, single, single_sink):
     assert _events(batched_sink) == _events(single_sink)
 
 
-@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("family", QUANTILE_FAMILIES)
 @pytest.mark.parametrize("method", QUANTILE_METHODS)
 def test_untraced_quantile_estimators_take_the_columnar_path(family, method):
     estimator = _build_quantile(family, method, 32, RecordingSink())
     assert estimator._columns_supported("none")
 
 
-@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("family", QUANTILE_FAMILIES)
 @pytest.mark.parametrize("method", QUANTILE_METHODS)
 @pytest.mark.parametrize("swap_period", [3, 32])
 @pytest.mark.parametrize("batch_size", QUANTILE_BATCH_SIZES)
@@ -477,7 +479,7 @@ def _first_swap_index(names, start: int = 0, also: str | None = None) -> int:
     raise AssertionError("stream has no such swap record")
 
 
-@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("family", QUANTILE_FAMILIES)
 @pytest.mark.parametrize("method", QUANTILE_METHODS)
 def test_chunk_ending_on_the_swap_record(family, method):
     """A chunk whose last record fires the swap leaves a fresh countdown."""
@@ -494,7 +496,7 @@ def test_chunk_ending_on_the_swap_record(family, method):
     _assert_same(batched, batched_sink, single, single_sink)
 
 
-@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("family", QUANTILE_FAMILIES)
 @pytest.mark.parametrize("method", QUANTILE_METHODS)
 def test_nan_right_after_a_swap(family, method):
     """A NaN straight after a swap raises with the post-swap scalar state."""
@@ -515,7 +517,7 @@ def test_nan_right_after_a_swap(family, method):
     _assert_same(batched, batched_sink, single, single_sink)
 
 
-@pytest.mark.parametrize("family", LANDMARK_FAMILIES)
+@pytest.mark.parametrize("family", QUANTILE_FAMILIES)
 @pytest.mark.parametrize("method", QUANTILE_METHODS)
 @pytest.mark.parametrize("where", ["mid_chunk", "chunk_start", "chunk_end"])
 @pytest.mark.parametrize("collect", ["all", "none"])

@@ -3,9 +3,9 @@
 
 For each of the five estimator families, the same stream is replayed
 three ways and timed with the shared interleaved-block harness
-(:mod:`benchlib`), under ``piecemeal-uniform`` and — for the two landmark
-families, whose kernels vectorise the quantile policy too — again under
-``piecemeal-quantile``:
+(:mod:`benchlib`), under ``piecemeal-uniform`` and — for the three
+families with a vectorised kernel, which takes the quantile policy too —
+again under ``piecemeal-quantile``:
 
 * ``scalar``    — the per-tuple ``update`` loop, one estimate per tuple;
 * ``batch_all`` — ``update_many(..., collect="all")``: the batched entry
@@ -85,6 +85,7 @@ FAMILIES = {
         "query": CorrelatedQuery("count", "min", epsilon=99.0, window=WINDOW),
         "vectorized": True,
         "note": "vectorised segments between data-driven boundary steps",
+        "other_methods": ("piecemeal-quantile",),
     },
     "sliding_avg": {
         "query": CorrelatedQuery("count", "avg", window=WINDOW),

@@ -12,8 +12,11 @@ This lint keeps that boundary honest with two grep-level rules:
 2. A kernel-subclass module (one that imports ``repro.core.focused``) may
    not define the kernel-owned machinery (``_init_kernel``,
    ``_build_histogram``, ``obs_state``, ``estimate_bounds``,
-   ``update_many``, ``_after_add``): those are the shared spine, and a
-   private copy would drift from the parity fixtures.  Non-kernel
+   ``update_many``, ``_after_add``, the columnar segment loop
+   ``_steady_columns``): those are the shared spine, and a private copy
+   would drift from the parity fixtures.  A family's columnar kernel is
+   its trace producer and routing hooks (``_column_trace``,
+   ``_column_triggers``, ``_column_route``, ...), never its own loop.  Non-kernel
    algorithms (baselines, heuristics, the oracle) implement the
    ``ObservableAlgorithm``/batch protocols directly and are exempt.
 
@@ -40,8 +43,16 @@ HOOK_MARKERS = (
     "_warmup_step",
     "_quantile_edges",
     "_seed_histogram",
-    "_steady_columns",
     "_columns_supported",
+    "_column_trace",
+    "_column_horizon",
+    "_column_triggers",
+    "_column_route",
+    "_column_coarse",
+    "_column_evict",
+    "_sync_trace",
+    "_column_step",
+    "_column_answers",
 )
 
 #: Kernel-owned machinery: no kernel subclass may define these.
@@ -55,6 +66,8 @@ KERNEL_OWNED = (
     "update_many",
     "update_columns",
     "_after_add",
+    "_steady_columns",
+    "_scatter_segment",
 )
 
 #: Modules with no stake in the focused lifecycle (baselines, oracle,
