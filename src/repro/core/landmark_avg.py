@@ -154,39 +154,13 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     def _column_trace(self, xs, ys, limit: int):
         """Moment trace and CLT focus target for every chunk record.
 
-        A pure-Python replay of the Welford recurrence gives the moments
-        after each record, bit-identical to ``RunningMoments.push``
-        (pushes are pure and deterministic); ``_target_interval`` is then
+        :meth:`RunningMoments.replay` gives the moments after each record,
+        bit-identical to the scalar pushes; ``_target_interval`` is then
         evaluated for the whole chunk at once.
         """
-        moments = self._moments
-        cnt = moments._count
-        mean = moments._mean
-        m2 = moments._m2
-        mn = moments._min
-        mx = moments._max
-        # Entry 0 of each column is the pre-chunk state, entry i the state
-        # after chunk record i - 1.
-        states = ([cnt], [mean], [m2], [mn], [mx])
-        ap_c, ap_mean, ap_m2, ap_mn, ap_mx = (column.append for column in states)
-        for x in xs.tolist():
-            cnt += 1
-            delta = x - mean
-            mean += delta / cnt
-            m2 += delta * (x - mean)
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-            ap_c(cnt)
-            ap_mean(mean)
-            ap_m2(m2)
-            ap_mn(mn)
-            ap_mx(mx)
-
-        cnt_a, mean_a, m2_a, mn_a, mx_a = (
-            np.asarray(column, dtype=np.float64)[1:] for column in states
-        )
+        replay = self._moments.replay(xs.tolist())
+        cnt_a, mean_a, m2_a = replay.count, replay.mean, replay.m2
+        mn_a, mx_a = replay.minimum, replay.maximum
         # _clt_interval, op for op (max/min ties on ±0.0 only affect the
         # sign of a zero, which the trigger comparison takes abs() of).
         se = np.sqrt(np.maximum(m2_a / cnt_a, 0.0)) / np.sqrt(cnt_a)
@@ -203,7 +177,7 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             )
             lo_a = np.where(degenerate, np.maximum(mean_a - span, mn_a), lo_a)
             hi_a = np.where(degenerate, lo_a + 2.0 * span, hi_a)
-        return (states, lo_a, hi_a), limit
+        return (replay, lo_a, hi_a), limit
 
     def _column_triggers(self, trace, lo: int, hi: int):
         # _should_reallocate against the live focus region.
@@ -230,7 +204,7 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         self._left_tail, self._right_tail = masses
 
     def _sync_trace(self, trace, upto: int) -> None:
-        self._moments.load(*(column[upto] for column in trace[0]))
+        self._moments.restore(trace[0], upto)
 
     def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:
         # The mean cannot jump without the data moving it: only true

@@ -30,7 +30,6 @@ own routing, reallocation (with the clamp-back spill conservation), and
 
 from __future__ import annotations
 
-from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,100 +238,23 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
     def _column_trace(self, xs, ys, limit: int):
         """Window trace: both interval trackers and the eviction history.
 
-        A pure-Python replay of both interval trackers produces the
-        per-record ``extremum()``/``worst_local()`` trace (the folds are
-        maintained incrementally: recomputed at interval turnover, one
-        comparison per record otherwise — bit-identical to the tracker's
-        left folds), with tracker snapshots every few hundred records to
-        keep boundary syncs cheap.  Eviction is resolved from a history
-        array (the pre-chunk ring contents followed by the chunk itself):
-        record ``i`` evicts history entry ``s0 + i - w``.  A negative
-        extremum pulls the limit in: ``_target_interval`` raises there.
+        One :meth:`IntervalExtremaTracker.replay` per tracker records the
+        chunk's interval turnovers, from which the boundary syncs load
+        either tracker's exact state; the tracked one also yields the
+        per-record ``extremum()``/``worst_local()`` trace.  Eviction is
+        resolved from a history array (the pre-chunk ring contents
+        followed by the chunk itself): record ``i`` evicts history entry
+        ``s0 + i - w``.  A negative extremum pulls the limit in:
+        ``_target_interval`` raises there.  Entries at or past the first
+        non-finite input diverge from the scalar path (which never pushes
+        such a value); they are never read, because the chunk is cut there.
         """
         n = len(xs)
         mode_min = self._mode == "min"
-        better = min if mode_min else max
-        worse = max if mode_min else min
-        tracked = self._tracked
-        opposite = self._opposite
-        ilen = tracked._interval_length
-        kmax = tracked._max_intervals
-        ts0 = tracked._total_seen
-        loc_t = list(tracked._locals)
-        cur_t = tracked._current
-        loc_o = list(opposite._locals)
-        cur_o = opposite._current
-        # Both trackers share window/num_intervals and see every push, so
-        # one interval countdown serves both.
-        cnt_c = tracked._current_count
-
-        def fold(values, f):
-            if not values:
-                return None
-            acc = values[0]
-            for v in values[1:]:
-                acc = f(acc, v)
-            return acc
-
-        best_t = fold(loc_t, better)
-        worst_t = fold(loc_t, worse)
-        ext_l: list[float] = []
-        worst_l: list[float] = []
-        ap_ext = ext_l.append
-        ap_worst = worst_l.append
-        snap_every = 256
-        snaps: list[tuple] = []
         xl = xs.tolist()
-        # The trace loop is the kernel's Python hot path, so the min/max
-        # folds are specialised per mode into plain comparisons (the
-        # builtins' tie behaviour — keep the left operand on <=/>= — is
-        # preserved exactly).  Entries at or past the first non-finite
-        # input diverge from the scalar path (which never pushes such a
-        # value); they are never read, because the chunk is cut there.
-        for i, x in enumerate(xl):
-            if not i % snap_every:
-                snaps.append((tuple(loc_t), cur_t, tuple(loc_o), cur_o, cnt_c))
-            if cur_t is None:
-                cur_t = x
-                cur_o = x
-            elif mode_min:
-                if x < cur_t:
-                    cur_t = x
-                if x > cur_o:
-                    cur_o = x
-            else:
-                if x > cur_t:
-                    cur_t = x
-                if x < cur_o:
-                    cur_o = x
-            cnt_c += 1
-            if cnt_c == ilen:
-                loc_t.append(cur_t)
-                loc_o.append(cur_o)
-                cur_t = None
-                cur_o = None
-                cnt_c = 0
-                while len(loc_t) > kmax:
-                    loc_t.pop(0)
-                while len(loc_o) > kmax:
-                    loc_o.pop(0)
-                best_t = fold(loc_t, better)
-                worst_t = fold(loc_t, worse)
-                ap_ext(best_t)
-                ap_worst(worst_t)
-            elif best_t is None:
-                ap_ext(cur_t)
-                ap_worst(cur_t)
-            elif mode_min:
-                ap_ext(best_t if best_t <= cur_t else cur_t)
-                ap_worst(worst_t if worst_t >= cur_t else cur_t)
-            else:
-                ap_ext(best_t if best_t >= cur_t else cur_t)
-                ap_worst(worst_t if worst_t <= cur_t else cur_t)
-        final = (tuple(loc_t), cur_t, tuple(loc_o), cur_o, cnt_c)
-
-        ext_a = np.asarray(ext_l)
-        worst_a = np.asarray(worst_l)
+        tracked = self._tracked.replay(xl)
+        opposite = self._opposite.replay(xl)
+        ext_a, worst_a = self._tracked.replay_extrema(tracked)
         one_eps = 1.0 + self._query.epsilon
         # _target_interval, op for op.  Entries at/past the non-finite cut
         # are never read, so their NaN arithmetic warnings are noise.
@@ -366,38 +288,9 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         )
 
         def sync_trackers(upto: int) -> None:
-            """Restore both live trackers to the state after ``upto`` chunk
-            records (snapshot + replay, bit-identical by determinism)."""
-            if upto == n:
-                lt, ct, lo_, co, cc = final
-            else:
-                q = min(upto // snap_every, len(snaps) - 1)
-                lt, ct, lo_, co, cc = snaps[q]
-                lt = list(lt)
-                lo_ = list(lo_)
-                for j in range(q * snap_every, upto):
-                    xj = xl[j]
-                    ct = xj if ct is None else better(ct, xj)
-                    co = xj if co is None else worse(co, xj)
-                    cc += 1
-                    if cc == ilen:
-                        lt.append(ct)
-                        lo_.append(co)
-                        ct = None
-                        co = None
-                        cc = 0
-                        while len(lt) > kmax:
-                            lt.pop(0)
-                        while len(lo_) > kmax:
-                            lo_.pop(0)
-            tracked._locals = deque(lt)
-            tracked._current = ct
-            tracked._current_count = cc
-            tracked._total_seen = ts0 + upto
-            opposite._locals = deque(lo_)
-            opposite._current = co
-            opposite._current_count = cc
-            opposite._total_seen = ts0 + upto
+            """Load both live trackers' state after ``upto`` chunk records."""
+            self._tracked.restore(tracked, upto)
+            self._opposite.restore(opposite, upto)
 
         def sync_ring(upto: int) -> None:
             """Rebuild the live window as of ``upto`` chunk records from

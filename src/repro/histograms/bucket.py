@@ -25,8 +25,6 @@ import bisect
 from collections.abc import Sequence
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, HistogramError
 
 
@@ -154,34 +152,6 @@ class BucketArray:
         """Pour raw mass into bucket ``index`` (used by reallocation)."""
         self._counts[index] += mass.count
         self._weights[index] += mass.weight
-
-    def add_many(self, xs: Sequence[float], ys: Sequence[float]) -> None:
-        """Add a column of tuples: exactly ``add(x, y)`` per pair, in order.
-
-        Vectorised: one ``searchsorted`` plus sequential scatter-adds
-        (``np.add.at`` applies element-by-element in argument order, so
-        float accumulation matches the scalar loop bit for bit).  The
-        first out-of-range value raises the same :class:`HistogramError`
-        ``add`` would, with every preceding pair already applied.
-        """
-        vx = np.asarray(xs, dtype=np.float64)
-        vy = np.asarray(ys, dtype=np.float64)
-        lo, hi = self._edges[0], self._edges[-1]
-        bad = ~((vx >= lo) & (vx <= hi))
-        stop = int(np.argmax(bad)) if bad.any() else len(vx)
-        if stop:
-            idx = np.searchsorted(np.asarray(self._edges), vx[:stop], side="right") - 1
-            np.minimum(idx, len(self._counts) - 1, out=idx)
-            counts = np.asarray(self._counts)
-            weights = np.asarray(self._weights)
-            np.add.at(counts, idx, 1.0)
-            np.add.at(weights, idx, vy[:stop])
-            self._counts = counts.tolist()
-            self._weights = weights.tolist()
-        if stop < len(vx):
-            raise HistogramError(
-                f"value {float(vx[stop])!r} outside histogram range [{lo}, {hi}]"
-            )
 
     def mass_columns(self) -> tuple[list[float], list[float]]:
         """``(counts, weights)`` as parallel lists — staging copies for

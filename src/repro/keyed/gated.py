@@ -339,23 +339,27 @@ class GatedKeyedBank:
         A record with a NaN or infinite attribute raises
         :class:`~repro.exceptions.StreamError` before any state changes,
         so it can neither sit in a replay buffer nor skew a key's mass.
+        A promoted key's estimator makes that check itself, ahead of its
+        own state; the bank checks only what goes to the tail.
         """
         if not isinstance(record, Record):
             record = Record(*record)
-        ensure_finite(record)
+        estimator = self._promoted.get(key)
+        if estimator is not None:
+            value = estimator.update(record)
+        else:
+            ensure_finite(record)
         self._seq += 1
         y = record.y
         if y < self._y_min:
             self._y_min = y
         if y > self._y_max:
             self._y_max = y
-        estimator = self._promoted.get(key)
         if estimator is not None:
             self._hits[key] += 1
             self._mass[key] += abs(y)
             if self._memory_budget is not None:
                 self._last_seq[key] = self._seq
-            value = estimator.update(record)
             if self._seq % _ACCOUNTING_EVERY == 0:
                 self._refresh_accounting()
             return value

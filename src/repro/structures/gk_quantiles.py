@@ -119,43 +119,6 @@ class GKQuantileSummary:
             self._compress()
             self._since_compress = 0
 
-    def insert_many(self, values, compress: str = "periodic") -> None:
-        """Observe a batch of values.
-
-        ``compress="periodic"`` (the default) is exactly the
-        :meth:`insert` loop — the same compress schedule runs mid-batch,
-        so the resulting summary is bit-identical to repeated scalar
-        inserts.  ``compress="deferred"`` skips the periodic schedule and
-        compresses once at the end of the batch: the GK invariant holds
-        throughout (each entry's delta is capped from the count at its
-        own insert), so the eps guarantee is unchanged, but the retained
-        entries differ from the scalar schedule — use it only where
-        structural parity does not matter.  Numpy arrays are accepted.
-        """
-        if compress not in ("periodic", "deferred"):
-            raise ConfigurationError(
-                f'compress must be "periodic" or "deferred", got {compress!r}'
-            )
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        if compress == "periodic":
-            insert = self.insert
-            for value in values:
-                insert(value)
-            return
-        entries = self._entries
-        for value in values:
-            self._count += 1
-            index = bisect.bisect_left(entries, value, key=lambda e: e.value)
-            if index == 0 or index == len(entries):
-                entry = _Entry(value, 1, 0)
-            else:
-                band_cap = int(math.floor(2.0 * self._eps * self._count))
-                entry = _Entry(value, 1, max(band_cap - 1, 0))
-            entries.insert(index, entry)
-        self._compress()
-        self._since_compress = 0
-
     def _compress(self) -> None:
         """Merge adjacent entries whose combined uncertainty stays in bounds."""
         if len(self._entries) < 3:

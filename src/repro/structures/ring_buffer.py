@@ -58,20 +58,6 @@ class RingBuffer(Generic[T]):
         self._items[end] = item
         return evicted
 
-    def push_many(self, items: "list[T]") -> "list[T]":
-        """Append a batch of items; return the evicted items in order.
-
-        Exactly the :meth:`push` loop — the return value collects the
-        non-``None`` evictions, oldest first.
-        """
-        evicted: list[T] = []
-        push = self.push
-        for item in items:
-            out = push(item)
-            if out is not None:
-                evicted.append(out)
-        return evicted
-
     def load(self, items: "list[T]") -> None:
         """Replace the whole contents with ``items`` (oldest first).
 

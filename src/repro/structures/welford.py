@@ -15,8 +15,26 @@ values (which is how the sliding window uses it).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.exceptions import EmptyScopeError, StreamError
+
+
+class MomentsReplay(NamedTuple):
+    """The moments after each value of a :meth:`RunningMoments.replay`.
+
+    Entry ``i`` of each float64 array is the state after value ``i``;
+    ``start`` is ``(count, mean, m2, minimum, maximum)`` before the first.
+    """
+
+    start: tuple[int, float, float, float, float]
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+    minimum: np.ndarray
+    maximum: np.ndarray
 
 
 class RunningMoments:
@@ -88,22 +106,21 @@ class RunningMoments:
         if value > self._max:
             self._max = value
 
-    def push_many(self, values) -> None:
-        """Incorporate a batch of values — exactly the :meth:`push` loop.
+    def replay(self, values: list[float]) -> MomentsReplay:
+        """The :meth:`push` loop over ``values``, leaving ``self`` untouched.
 
-        State is hoisted into locals for the duration of the loop, which
-        is the whole speedup; the arithmetic is the push recurrence
-        verbatim, so the result is bit-identical to repeated pushes.
-        Numpy arrays are accepted and converted to Python floats first so
-        the stored state never holds numpy scalars.
+        Returns the moments after each value, bit-identical to pushing
+        them one by one (the same recurrence in the same order, so a
+        ``0.0``/``-0.0`` extremum tie keeps the older zero);
+        :meth:`restore` loads the state after any prefix.
         """
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        cnt = self._count
-        mean = self._mean
-        m2 = self._m2
-        mn = self._min
-        mx = self._max
+        start = (self._count, self._mean, self._m2, self._min, self._max)
+        cnt, mean, m2, mn, mx = start
+        means: list[float] = []
+        m2s: list[float] = []
+        mins: list[float] = []
+        maxs: list[float] = []
+        ap_mean, ap_m2, ap_min, ap_max = means.append, m2s.append, mins.append, maxs.append
         for value in values:
             cnt += 1
             delta = value - mean
@@ -113,26 +130,26 @@ class RunningMoments:
                 mn = value
             if value > mx:
                 mx = value
-        self._count = cnt
-        self._mean = mean
-        self._m2 = m2
-        self._min = mn
-        self._max = mx
+            ap_mean(mean)
+            ap_m2(m2)
+            ap_min(mn)
+            ap_max(mx)
+        return MomentsReplay(
+            start,
+            np.arange(start[0] + 1, cnt + 1, dtype=np.float64),
+            *(np.asarray(column, dtype=np.float64) for column in (means, m2s, mins, maxs)),
+        )
 
-    def load(
-        self, count: int, mean: float, m2: float, minimum: float, maximum: float
-    ) -> None:
-        """Overwrite the state wholesale.
-
-        The columnar kernels precompute per-record moment traces and use
-        this to sync the live object to a trace entry at kernel
-        boundaries (and at end of chunk).
-        """
-        self._count = count
-        self._mean = mean
-        self._m2 = m2
-        self._min = minimum
-        self._max = maximum
+    def restore(self, replay: MomentsReplay, k: int) -> None:
+        """Load the state :meth:`replay` reached after its first ``k`` values."""
+        if k == 0:
+            self._count, self._mean, self._m2, self._min, self._max = replay.start
+            return
+        self._count = replay.start[0] + k
+        self._mean = float(replay.mean[k - 1])
+        self._m2 = float(replay.m2[k - 1])
+        self._min = float(replay.minimum[k - 1])
+        self._max = float(replay.maximum[k - 1])
 
     def remove(self, value: float) -> None:
         """Remove one previously pushed ``value`` (mean/variance only).

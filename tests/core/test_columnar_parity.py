@@ -44,9 +44,27 @@ FAMILY_QUERIES = {
 KERNEL_FAMILIES = ("landmark_extrema", "landmark_avg", "sliding_extrema")
 
 
-@pytest.fixture(scope="module")
-def stream():
-    return load_dataset("USAGE", size=SIZE)
+def _signed_zero_stream(n: int = SIZE) -> list[Record]:
+    """Duplicate-heavy values, with both zeros in every other block of 150.
+
+    Every extremum tie shows, through its sign, which zero a fold kept;
+    the zero-free blocks let the window minimum rise and fall again, so
+    the extrema regions keep moving.
+    """
+    rng = random.Random(24)
+    positive = (1.0, 1.0, 2.0, 3.5, 3.5, 7.0)
+    zeros = (0.0, -0.0, 0.0, -0.0) + positive
+    return [
+        Record(rng.choice(zeros if i // 150 % 2 else positive), rng.choice((0.5, 1.0, 2.0)))
+        for i in range(n)
+    ]
+
+
+@pytest.fixture(scope="module", params=["usage", "signed-zeros"])
+def stream(request):
+    if request.param == "usage":
+        return load_dataset("USAGE", size=SIZE)
+    return _signed_zero_stream()
 
 
 @pytest.fixture(scope="module")
@@ -69,17 +87,19 @@ def _state_fingerprint(estimator) -> dict:
             state[name] = tuple(mass)
     moments = getattr(estimator, "_moments", None)
     if moments is not None:
-        state["moments"] = (
-            moments._count, moments._mean, moments._m2, moments._min, moments._max
+        state["moments"] = repr(
+            (moments._count, moments._mean, moments._m2, moments._min, moments._max)
         )
     for name in ("_tracked", "_opposite"):
         tracker = getattr(estimator, name, None)
         if tracker is not None:
-            state[name] = (
-                list(tracker._locals),
-                tracker._current,
-                tracker._current_count,
-                tracker._total_seen,
+            state[name] = repr(
+                (
+                    list(tracker._locals),
+                    tracker._current,
+                    tracker._current_count,
+                    tracker._total_seen,
+                )
             )
     ring = getattr(estimator, "_ring", None)
     if ring is not None:

@@ -242,3 +242,63 @@ class TestReductionsMatchFolds:
             timed.push(float(i), v)
         assert repr(timed.extremum()) == "0.0"
         assert repr(timed.worst_local()) == "0.0"
+
+
+@st.composite
+def _uneven_configs(draw):
+    """``(window, num_intervals, mode)`` with a window that is not a
+    multiple of the interval count."""
+    num_intervals = draw(st.integers(2, 8))
+    length = draw(st.integers(1, 5))
+    window = num_intervals * length + draw(st.integers(1, num_intervals - 1))
+    return window, num_intervals, draw(st.sampled_from(["min", "max"]))
+
+
+class TestReplay:
+    """``replay``/``restore``/``replay_extrema`` against the scalar
+    ``push`` loop, ``±0.0`` ties included."""
+
+    @given(
+        config=_uneven_configs(),
+        prefix=st.lists(_TIE_HEAVY, max_size=60),
+        values=st.lists(_TIE_HEAVY, max_size=120),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_replay_matches_pushes(self, config, prefix, values, data):
+        tracker = IntervalExtremaTracker(*config)
+        scalar = IntervalExtremaTracker(*config)
+        for v in prefix:
+            tracker.push(v)
+            scalar.push(v)
+        before = repr(vars(tracker))
+        replay = tracker.replay(values)
+        extremum, worst = tracker.replay_extrema(replay)
+        assert repr(vars(tracker)) == before  # the replay leaves it alone
+
+        assert len(extremum) == len(worst) == len(values)
+        for i, v in enumerate(values):
+            scalar.push(v)
+            assert repr(float(extremum[i])) == repr(scalar.extremum())
+            assert repr(float(worst[i])) == repr(scalar.worst_local())
+
+        k = data.draw(st.integers(0, len(values)))
+        expected = IntervalExtremaTracker(*config)
+        for v in prefix + values[:k]:
+            expected.push(v)
+        tracker.restore(replay, k)
+        assert vars(tracker) == vars(expected)
+        assert repr(vars(tracker)) == repr(vars(expected))
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_restore_mid_interval_after_many_turnovers(self, mode):
+        tracker = IntervalExtremaTracker(window=7, num_intervals=3, mode=mode)
+        tracker.push(-0.0)
+        values = [0.0, -0.0] * 20
+        replay = tracker.replay(values)
+        scalar = IntervalExtremaTracker(window=7, num_intervals=3, mode=mode)
+        scalar.push(-0.0)
+        for k, v in enumerate(values, start=1):
+            scalar.push(v)
+            tracker.restore(replay, k)
+            assert repr(vars(tracker)) == repr(vars(scalar))

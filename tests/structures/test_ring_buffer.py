@@ -88,3 +88,27 @@ class TestRingBuffer:
         assert list(buf) == items[-capacity:]
         if len(items) > capacity:
             assert buf.oldest() == items[-capacity]
+
+
+class TestLoad:
+    """``load`` is the columnar kernels' bulk window rebuild."""
+
+    def test_load_replaces_contents(self):
+        buf = RingBuffer(4)
+        for item in (1, 2, 3, 4, 5):
+            buf.push(item)
+        buf.load([9, 8])
+        assert list(buf) == [9, 8]
+        assert len(buf) == 2
+        assert buf.oldest() == 9 and buf.newest() == 8
+        assert buf.push(7) is None  # not full after a partial load
+
+    def test_load_respects_capacity(self):
+        with pytest.raises(ConfigurationError, match="capacity"):
+            RingBuffer(2).load([1, 2, 3])
+
+    def test_load_then_push_evicts_in_order(self):
+        buf = RingBuffer(3)
+        buf.load([1, 2, 3])
+        assert buf.push(4) == 1
+        assert list(buf) == [2, 3, 4]

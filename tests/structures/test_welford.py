@@ -121,3 +121,60 @@ class TestRunningMoments:
             assert m.count == len(live)
             assert m.mean == pytest.approx(np.mean(live), rel=1e-6, abs=1e-6)
             assert m.variance == pytest.approx(np.var(live), rel=1e-4, abs=1e-4)
+
+
+# Signed zeros and repeats make extremum ties, where the kept zero's sign
+# shows; a replay must keep the same one as the pushes.
+_TIE_HEAVY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestReplay:
+    """``replay``/``restore`` against the scalar ``push`` loop, bit for bit."""
+
+    @given(
+        prefix=st.lists(_TIE_HEAVY, max_size=40),
+        values=st.lists(_TIE_HEAVY, max_size=80),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_replay_matches_pushes(self, prefix, values, data):
+        moments = RunningMoments()
+        for v in prefix:
+            moments.push(v)
+        before = repr(vars(moments))
+        replay = moments.replay(values)
+        assert repr(vars(moments)) == before  # the replay leaves it alone
+
+        scalar = RunningMoments()
+        for v in prefix:
+            scalar.push(v)
+        for i, v in enumerate(values):
+            scalar.push(v)
+            row = (
+                replay.count[i], replay.mean[i], replay.m2[i],
+                replay.minimum[i], replay.maximum[i],
+            )
+            expected = (
+                scalar.count, scalar.mean, scalar._m2, scalar.minimum, scalar.maximum
+            )
+            assert repr(tuple(map(float, row))) == repr(tuple(map(float, expected)))
+
+        k = data.draw(st.integers(0, len(values)))
+        expected = RunningMoments()
+        for v in prefix + values[:k]:
+            expected.push(v)
+        moments.restore(replay, k)
+        assert vars(moments) == vars(expected)
+        assert repr(vars(moments)) == repr(vars(expected))
+
+    def test_restore_keeps_python_types(self):
+        moments = RunningMoments()
+        replay = moments.replay([3.0, 1.0, 2.0])
+        moments.restore(replay, 2)
+        assert type(moments.count) is int
+        assert all(type(v) is float for v in (moments.mean, moments.minimum, moments.maximum))
+        moments.restore(replay, 0)
+        assert vars(moments) == vars(RunningMoments())

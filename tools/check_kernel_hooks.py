@@ -3,7 +3,8 @@
 
 The shared lifecycle lives in ``repro/core/focused.py``; the five estimator
 modules customise it ONLY through the policy hooks the kernel declares.
-This lint keeps that boundary honest with two grep-level rules:
+This lint keeps that boundary honest with two grep-level rules and one
+syntax-tree rule:
 
 1. Any module under ``src/repro/core/`` that defines a lifecycle hook
    (``_route_add``, ``_should_reallocate``, ``_target_interval``,
@@ -19,6 +20,14 @@ This lint keeps that boundary honest with two grep-level rules:
    ``_column_triggers``, ``_column_route``, ...), never its own loop.  Non-kernel
    algorithms (baselines, heuristics, the oracle) implement the
    ``ObservableAlgorithm``/batch protocols directly and are exempt.
+3. No module under ``src/repro/core/`` reads or assigns a private field of
+   a ``repro/structures/`` object through a receiver other than ``self``
+   (``moments._count``, ``self._tracked._locals``): a kernel that needs a
+   structure's state in bulk calls the structure's own replay, so each
+   recurrence keeps one batch copy, next to its scalar step.  A receiver
+   is a structure when it is a field some core module assigns a structure
+   constructor to (``self._moments = RunningMoments()``), or a local name
+   bound to such a field or constructor in the same function.
 
 Runs on the source text (no imports), so it works in any environment.
 Exit status 0 = clean, 1 = violations (listed one per line).
@@ -26,6 +35,7 @@ Exit status 0 = clean, 1 = violations (listed one per line).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -79,9 +89,83 @@ IMPORT_RE = re.compile(
 )
 
 
+def _structure_classes(structures_dir: Path) -> set[str]:
+    """Names of the classes the ``repro/structures/`` modules define."""
+    return {
+        node.name
+        for path in structures_dir.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _constructs(value: ast.AST, classes: set[str]) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in classes
+    )
+
+
+def _structure_fields(trees: list[ast.AST], classes: set[str]) -> set[str]:
+    """Attribute names any core module assigns a structure constructor to."""
+    fields: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _constructs(
+                node.value, classes
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                fields.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+    return fields
+
+
+def _private_structure_access(
+    tree: ast.AST, classes: set[str], fields: set[str]
+) -> list[tuple[int, str, str]]:
+    """``(line, receiver, field)`` per private access through a structure
+    receiver other than ``self``."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+
+        def is_structure(node: ast.AST, names: set[str]) -> bool:
+            if isinstance(node, ast.Attribute):
+                return node.attr in fields
+            return isinstance(node, ast.Name) and node.id in names
+
+        names: set[str] = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and (
+                _constructs(node.value, classes) or is_structure(node.value, set())
+            ):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and is_structure(node.value, names)
+            ):
+                found.append((node.lineno, ast.unparse(node.value), node.attr))
+    return sorted(set(found))
+
+
 def check(core_dir: Path = CORE) -> list[str]:
     """Return one human-readable line per violation (empty = clean)."""
     problems: list[str] = []
+    classes = _structure_classes(core_dir.parent / "structures")
+    trees = {path: ast.parse(path.read_text()) for path in sorted(core_dir.glob("*.py"))}
+    fields = _structure_fields(list(trees.values()), classes)
+    for path, tree in trees.items():
+        rel = path.relative_to(core_dir.parent.parent.parent)
+        for line, receiver, name in _private_structure_access(tree, classes, fields):
+            problems.append(
+                f"{rel}:{line}: touches private field {receiver}.{name} of a "
+                "repro/structures object — use the structure's public API "
+                "(its replay/restore for bulk state)"
+            )
     for path in sorted(core_dir.glob("*.py")):
         if path.name == "focused.py":
             continue
@@ -115,7 +199,10 @@ def main() -> int:
     if problems:
         print(f"\n{len(problems)} kernel-boundary violation(s)", file=sys.stderr)
         return 1
-    print("kernel boundary clean: lifecycle machinery only in repro/core/focused.py")
+    print(
+        "kernel boundary clean: lifecycle machinery only in repro/core/focused.py, "
+        "structure internals only in repro/structures"
+    )
     return 0
 
 
