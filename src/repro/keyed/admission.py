@@ -39,8 +39,9 @@ key is at most ``error * max|y|`` seen up to its admission.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.exceptions import ConfigurationError
 from repro.streams.model import Record
@@ -150,6 +151,10 @@ class SpaceSavingAdmission:
     def slot(self, key: Hashable) -> Slot | None:
         """The monitored slot for ``key`` (``None`` when unmonitored)."""
         return self._slots.get(key)
+
+    def slots(self) -> Mapping[Hashable, Slot]:
+        """Read-only view of every monitored slot, in admission order."""
+        return MappingProxyType(self._slots)
 
     # --------------------------------------------------------------- heap
 

@@ -46,10 +46,11 @@ CheckpointManager` like any estimator.
 
 from __future__ import annotations
 
+import heapq
 import math
 import pickle
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Collection, Hashable, Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.core.engine import FOCUSED_METHODS, build_estimator
@@ -73,6 +74,14 @@ _ACCOUNTING_EVERY = 4096
 _REFRESH_BATCH = 32
 #: Estimators pickled per unbudgeted ``promoted_bytes`` read.
 _MEMORY_SAMPLE = 8
+#: Relative allowance, per consumed record, on a promoted key's answer
+#: bound.  A COUNT answer counts a subset of the records an estimator
+#: consumed and a SUM answer sums a subset of their ``y``, but both pass
+#: through float sums, interpolation fractions and bucket splits, each
+#: rounded: a wholesale-uniform COUNT answer can read a few units in the
+#: last place above its record count.  2**-40 allows 8192 of them per
+#: record (the unit roundoff is 2**-53).
+_ROUNDOFF_PER_RECORD = 2.0**-40
 
 
 def check_online_method(method: str, kwargs: dict[str, object]) -> None:
@@ -531,37 +540,44 @@ class GatedKeyedBank:
         high = max(self._y_max, 0.0) if math.isfinite(self._y_max) else 0.0
         return low, high
 
-    def _tail_point(self, slot: Slot | None) -> float:
-        """Conservative point estimate for a sketch/tail key.
+    def _tail_highs(self, slots: Collection[Slot]) -> list[float]:
+        """Each slot's interval ``high``, which is also its point answer.
 
-        Space-Saving convention: answer the count upper bound (the slot
-        count over-estimates, never under-estimates).
+        Space-Saving convention: a tail key answers its upper bound (the
+        slot count over-estimates, never under-estimates), so a heavy key
+        that has not been promoted yet still ranks high.
         """
-        return self._tail_estimate(slot).value
-
-    def _tail_estimate(self, slot: Slot | None) -> KeyEstimate:
-        admission = self._admission
-        if slot is not None:
-            low_hits, high_hits = slot.observed, slot.count
-            mass_high = slot.mass + slot.mass_error
-            missed = slot.error
-            kind = "sketch"
-        else:
-            low_hits, high_hits = 0, admission.ceiling
-            mass_high = admission.ceiling * admission.max_abs_y
-            missed = admission.ceiling
-            kind = "tail"
         dependent = self._query.dependent
         if dependent == "count":
-            low, high = 0.0, float(high_hits)
+            return [float(slot.count) for slot in slots]
+        if dependent == "sum":
+            return [slot.mass + slot.mass_error for slot in slots]
+        # avg of a qualifying subset lies within the global y range
+        return [self._y_range()[1]] * len(slots)
+
+    def _tail_point(self, slot: Slot) -> float:
+        """Conservative point estimate for a monitored tail key."""
+        return self._tail_highs((slot,))[0]
+
+    def _tail_estimate(self, slot: Slot | None) -> KeyEstimate:
+        if slot is None:
+            # An untracked key is a slot that observed nothing and may have
+            # missed up to the forgotten ceiling.
+            admission = self._admission
+            ceiling = admission.ceiling
+            slot = Slot(ceiling, ceiling, 0.0, ceiling * admission.max_abs_y)
+            kind = "tail"
+        else:
+            kind = "sketch"
+        high = self._tail_point(slot)
+        dependent = self._query.dependent
+        if dependent == "count":
+            low = 0.0
         elif dependent == "sum":
-            y_low, _ = self._y_range()
-            low = -mass_high if y_low < 0.0 else 0.0
-            high = mass_high
-        else:  # avg of a qualifying subset lies within the global y range
-            y_low, y_high = self._y_range()
-            low, high = y_low, y_high
-        return KeyEstimate(value=high, low=low, high=high, kind=kind, missed=missed)
+            low = -high if self._y_range()[0] < 0.0 else 0.0
+        else:
+            low = self._y_range()[0]
+        return KeyEstimate(value=high, low=low, high=high, kind=kind, missed=slot.error)
 
     def estimate(self, key: Hashable) -> float:
         """Point estimate for *any* key (promoted, monitored, or tail)."""
@@ -605,9 +621,30 @@ class GatedKeyedBank:
             key: estimator.estimate()  # type: ignore[attr-defined]
             for key, estimator in self._promoted.items()
         }
-        for key in self._admission.keys():
-            values[key] = self._tail_point(self._admission.slot(key))
+        slots = self._admission.slots()
+        values.update(zip(slots, self._tail_highs(slots.values())))
         return values
+
+    def _answer_bounds(self) -> dict[Hashable, float] | None:
+        """An upper bound on each promoted key's answer, in promoted order.
+
+        COUNT answers count, and SUM answers sum, a subset of the records
+        the key's estimator consumed: at most ``_hits`` or ``_mass``
+        (``sum |y|``), plus the rounding allowance.  AVG answers have no
+        such bound (``None``).
+        """
+        dependent = self._query.dependent
+        if dependent == "count":
+            totals = self._hits
+        elif dependent == "sum":
+            totals = self._mass
+        else:
+            return None
+        hits = self._hits
+        return {
+            key: totals[key] * (1.0 + hits[key] * _ROUNDOFF_PER_RECORD)
+            for key in self._promoted
+        }
 
     def top(self, n: int = 10) -> list[tuple[Hashable, float]]:
         """The ``n`` tracked keys with the largest (point) estimates.
@@ -617,10 +654,50 @@ class GatedKeyedBank:
         crossed the promotion threshold yet still surfaces.  NaN estimates
         (an extrema estimator whose focus emptied, say) rank last, in
         first-seen order; fewer than ``n`` tracked keys returns them all.
+        The result equals ``rank_estimates(self.estimates().items(), n)``.
+
+        COUNT and SUM dependents rank by a threshold scan.  Promoted keys
+        are asked for their answer in descending order of
+        :meth:`_answer_bounds`, stopping once the n-th largest finite
+        answer so far is strictly greater than the next bound (an equal
+        answer from a key seen earlier would outrank it).  One pass over
+        the slot values then keeps only tail keys that still reach the
+        n-th answer, and the survivors are ranked in first-seen order.
+        AVG dependents have no monotone bound and rank every key.
         """
         if n <= 0:
             raise ConfigurationError(f"n must be positive, got {n}")
-        return rank_estimates(self.estimates().items(), n)
+        bounds = self._answer_bounds()
+        if bounds is None:
+            return rank_estimates(self.estimates().items(), n)
+        promoted = self._promoted
+        best: list[float] = []  # min-heap: the n largest finite answers so far
+        answers: dict[Hashable, float] = {}
+        for key in sorted(bounds, key=bounds.__getitem__, reverse=True):
+            if len(best) == n and best[0] > bounds[key]:
+                break
+            value = answers[key] = promoted[key].estimate()  # type: ignore[attr-defined]
+            if math.isnan(value):
+                continue
+            if len(best) < n:
+                heapq.heappush(best, value)
+            elif value > best[0]:
+                heapq.heapreplace(best, value)
+        candidates = [(key, answers[key]) for key in promoted if key in answers]
+        # A full heap holds n answers of keys seen before this tail key, so
+        # a tail value equal to the n-th answer already ranks below n keys.
+        floor = best[0] if len(best) == n else -math.inf
+        slots = self._admission.slots()
+        for key, value in zip(slots, self._tail_highs(slots.values())):
+            if value > floor:
+                candidates.append((key, value))
+                if len(best) < n:
+                    heapq.heappush(best, value)
+                else:
+                    heapq.heapreplace(best, value)
+                if len(best) == n:
+                    floor = best[0]
+        return rank_estimates(candidates, n)
 
     # ------------------------------------------------------ observability
 
@@ -643,9 +720,7 @@ class GatedKeyedBank:
             gauges[f"sketch.{name}"] = value
         if self._obs_key_detail:
             names = key_gauge_names(self.keys())
-            for key, value in rank_estimates(
-                self.estimates().items(), self._obs_key_detail
-            ):
+            for key, value in self.top(self._obs_key_detail):
                 answer = self.estimate_interval(key)
                 prefix = f"key.{names[key]}"
                 gauges[f"{prefix}.estimate"] = value

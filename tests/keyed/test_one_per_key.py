@@ -156,8 +156,11 @@ class TestTop:
         for key, x in (("a", 5.0), ("b", 50.0), ("c", 2.0)):
             for _ in range(5):
                 bank.update(key, Record(x))
-        bank._promoted["poison"] = _NanEstimator()
-        bank._promoted["poison2"] = _NanEstimator()
+        for key in ("poison", "poison2"):
+            # Promote through update() so the key's bookkeeping exists,
+            # then swap its estimator for the NaN stand-in.
+            bank.update(key, Record(1.0))
+            bank._promoted[key] = _NanEstimator()
         for _ in range(5):
             ranked = bank.top(10)
             assert [key for key, _ in ranked[-2:]] == ["poison", "poison2"]

@@ -15,7 +15,10 @@ and records three things a reviewer should be able to check in one file:
   report, not a side effect;
 * **parity**: promoted keys with an exact replay history must answer
   float-for-float what a standalone estimator over the same records
-  answers.
+  answers;
+* **ranking**: on the final bank, ``top(n)``'s threshold scan must equal
+  the full scan ``rank_estimates(bank.estimates().items(), n)``, and both
+  are timed as medians over interleaved calls.
 
 Writes ``benchmarks/BENCH_keyed_bank.json``.
 
@@ -43,6 +46,7 @@ from repro.core.engine import build_estimator  # noqa: E402
 from repro.core.query import CorrelatedQuery  # noqa: E402
 from repro.datasets.zipf import zipf_keys, zipf_stream  # noqa: E402
 from repro.keyed import GatedKeyedBank  # noqa: E402
+from repro.keyed.gated import rank_estimates  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 OUTPUT = REPO / "benchmarks" / "BENCH_keyed_bank.json"
@@ -55,6 +59,10 @@ KEY_SKEW = 1.1
 VALIDATION_SAMPLE = 50_000
 #: Exactly promoted keys re-run through a standalone estimator.
 PARITY_SAMPLE = 5
+#: The ranking depth that is timed, as the perfbench keyed workload reads it.
+TOP = 10
+#: Timed calls per ranking variant.
+TOP_ROUNDS = 200
 
 
 def _build_bank(args: argparse.Namespace, query: CorrelatedQuery) -> GatedKeyedBank:
@@ -112,6 +120,39 @@ def _validate_parity(
     }
 
 
+def _full_scan(bank: GatedKeyedBank, n: int) -> list:
+    return rank_estimates(bank.estimates().items(), n)
+
+
+def _validate_top(bank: GatedKeyedBank) -> dict[str, object]:
+    """``top(n)`` against the full scan it replaces: equality, then timing."""
+    matches = all(
+        repr(bank.top(n)) == repr(_full_scan(bank, n))
+        for n in (1, TOP, 100, len(bank) + 1)
+    )
+    samples = benchlib.time_variants(
+        {
+            "threshold_scan": benchlib.call_block(lambda: bank.top(TOP)),
+            "full_scan": benchlib.call_block(lambda: _full_scan(bank, TOP)),
+        },
+        rounds=TOP_ROUNDS,
+    )
+    scan, full = (
+        {name: value * 1e3 for name, value in benchlib.quartiles(times).items()}
+        for times in (samples["threshold_scan"], samples["full_scan"])
+    )
+    return {
+        "top_matches_full_scan": matches,
+        "top_ms": {
+            "n": TOP,
+            "calls": len(samples["threshold_scan"]),
+            "threshold_scan": scan,
+            "full_scan": full,
+            "speedup": full["median"] / scan["median"],
+        },
+    }
+
+
 def run(args: argparse.Namespace) -> dict:
     query = CorrelatedQuery("count", "min", epsilon=9.0)
     records = zipf_stream(n=args.tuples, exponent=2.0, num_ranks=2000)
@@ -137,6 +178,7 @@ def run(args: argparse.Namespace) -> dict:
     sample = rng.choice(list(truth), size=sample_size, replace=False).tolist()
     validation = _validate_bounds(bank, truth, sample)
     validation.update(_validate_parity(bank, keys, records, query))
+    validation.update(_validate_top(bank))
 
     state = bank.obs_state()
     budget = args.budget_mb * 1024 * 1024
@@ -162,7 +204,8 @@ def run(args: argparse.Namespace) -> dict:
         "acceptance_criterion": (
             "zero bound violations across the validation sample, exact "
             "promoted keys float-for-float equal to standalone estimators, "
-            "promoted_bytes within the configured budget"
+            "top(n) equal to the full-scan ranking, promoted_bytes within "
+            "the configured budget"
         ),
         "machine": benchlib.machine_info(),
         "workload": {
@@ -194,6 +237,7 @@ def run(args: argparse.Namespace) -> dict:
         "sound": (
             validation["bound_violations"] == 0
             and validation["parity_ok"]
+            and validation["top_matches_full_scan"]
             and state["promoted_bytes"] <= budget
         ),
     }
@@ -232,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     if output is not None:
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {output}")
+    top = report["validation"]["top_ms"]
     print(
         f"{report['tuples_per_second']:,} tuples/s over {args.keys:,} keys; "
         f"promoted {int(report['bank']['promoted'])} "
@@ -240,7 +285,10 @@ def main(argv: list[str] | None = None) -> int:
         f"bounds: {report['validation']['bound_violations']} violations in "
         f"{report['validation']['checked_keys']:,} keys; "
         f"parity {report['validation']['parity_exact_matches']}/"
-        f"{report['validation']['parity_checked']}"
+        f"{report['validation']['parity_checked']}; "
+        f"top({TOP}) {top['threshold_scan']['median']:.3f} ms vs full scan "
+        f"{top['full_scan']['median']:.3f} ms, equal: "
+        f"{report['validation']['top_matches_full_scan']}"
     )
     return 0 if report["sound"] else 1
 

@@ -10,6 +10,12 @@ the same one perfbench's ``parallel.speedup_vs_single`` divides by.
 Accuracy is reported alongside speed: the merged estimate, the exact
 answer and the coordinator's merge bound for every point on the curve.
 
+The baseline and every worker count are timed with
+``benchlib.time_variants``, alternating round by round, so a host that
+drifts during the run slows all of them alike.  The report gives each
+variant's median time with its quartiles, and ``speedup_vs_baseline`` is
+a ratio of medians taken over the same rounds.
+
 Speedup is a property of the machine as much as the code — the report
 records ``cpu_count`` and the start method, and the acceptance criterion
 (>= 3x at 4 workers) is only expected to hold when at least 4 physical
@@ -52,19 +58,18 @@ def run(size: int, rounds: int, partition: str) -> dict:
     query = CorrelatedQuery(dependent="count", independent="avg")
     records = load_dataset("ZIPF", size=size)
     exact = exact_series(records, query)[-1]
+    #: Each variant's answer, and each worker count's merge bound, from
+    #: its latest round.
+    answers: dict[object, float] = {}
+    bounds: dict[int, float] = {}
 
-    def baseline() -> float:
+    def baseline() -> None:
         estimator = build_estimator(query, METHOD, num_buckets=NUM_BUCKETS)
         estimator.update_columns(*records_to_columns(records), collect="none")
-        return estimator.estimate()
+        answers["baseline"] = estimator.estimate()
 
-    base_elapsed, base_estimate = benchlib.best_of(rounds, baseline)
-    base_tps = len(records) / base_elapsed
-
-    curve = []
-    for workers in WORKER_COUNTS:
-
-        def sharded() -> tuple[float, float | None]:
+    def sharded(workers: int):
+        def once() -> None:
             with ShardedIngestor(
                 query,
                 METHOD,
@@ -74,22 +79,37 @@ def run(size: int, rounds: int, partition: str) -> dict:
                 chunk_size=2048,
             ) as ingestor:
                 ingestor.ingest(records)
-                answer = ingestor.query()
-                return answer, ingestor.merge_error_bound()
+                answers[workers] = ingestor.query()
+                bounds[workers] = ingestor.merge_error_bound()
 
-        elapsed, (answer, bound) = benchlib.best_of(rounds, sharded)
-        tps = len(records) / elapsed
-        curve.append(
-            {
-                "workers": workers,
-                "seconds": elapsed,
-                "tuples_per_second": tps,
-                "speedup_vs_baseline": tps / base_tps,
-                "estimate": answer,
-                "relative_error": abs(answer - exact) / max(abs(exact), 1e-12),
-                "merge_bound": bound,
-            }
-        )
+        return once
+
+    variants = {"baseline": benchlib.call_block(baseline)}
+    for workers in WORKER_COUNTS:
+        variants[workers] = benchlib.call_block(sharded(workers))
+    # One round per block: the baseline and every worker count alternate
+    # round by round, so host drift lands on all of them alike.
+    samples = benchlib.time_variants(variants, rounds, block=1)
+
+    def point(name: object) -> dict[str, object]:
+        spread = benchlib.quartiles(samples[name])
+        answer = answers[name]
+        return {
+            "seconds": spread["median"],
+            "seconds_q1": spread["q1"],
+            "seconds_q3": spread["q3"],
+            "tuples_per_second": len(records) / spread["median"],
+            "estimate": answer,
+            "relative_error": abs(answer - exact) / max(abs(exact), 1e-12),
+        }
+
+    base = point("baseline")
+    curve = []
+    for workers in WORKER_COUNTS:
+        entry = {"workers": workers, **point(workers)}
+        entry["speedup_vs_baseline"] = base["seconds"] / entry["seconds"]
+        entry["merge_bound"] = bounds[workers]
+        curve.append(entry)
 
     at4 = next(p for p in curve if p["workers"] == 4)
     machine = benchlib.machine_info()
@@ -101,10 +121,15 @@ def run(size: int, rounds: int, partition: str) -> dict:
             f"over {size} ZIPF tuples ({METHOD}, m={NUM_BUCKETS}, "
             f"{partition} partitioning): 1/2/4/8 worker processes vs the "
             "single-process columnar baseline (update_columns(*records_to_columns("
-            "records), collect='none')), best of "
-            f"{rounds} rounds."
+            "records), collect='none')).  Every variant runs "
+            f"{rounds} timed rounds, alternating round by round; times are "
+            "medians with quartiles, and speedup_vs_baseline is the ratio of "
+            "the medians."
         ),
-        "command": "PYTHONPATH=src python tools/bench_sharded.py",
+        "command": (
+            f"PYTHONPATH=src python tools/bench_sharded.py --size {size} "
+            f"--rounds {rounds} --partition {partition}"
+        ),
         "acceptance_criterion": (
             ">= 3x baseline throughput at 4 workers on a machine with >= 4 "
             "physical cores; on smaller machines the honest measured curve "
@@ -120,12 +145,7 @@ def run(size: int, rounds: int, partition: str) -> dict:
             "partition": partition,
             "exact_answer": exact,
         },
-        "baseline": {
-            "seconds": base_elapsed,
-            "tuples_per_second": base_tps,
-            "estimate": base_estimate,
-            "relative_error": abs(base_estimate - exact) / max(abs(exact), 1e-12),
-        },
+        "baseline": base,
         "curve": curve,
         "speedup_at_4": at4["speedup_vs_baseline"],
         "meets_criterion": (
@@ -137,7 +157,7 @@ def run(size: int, rounds: int, partition: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=50_000)
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--partition", default="round-robin")
     parser.add_argument("--output", type=Path, default=OUTPUT)
     args = parser.parse_args(argv)

@@ -84,22 +84,35 @@ def summarize(times: list[float], tuples: int) -> dict[str, float]:
     }
 
 
-def best_of(rounds: int, fn: Callable[[], object]) -> tuple[float, object]:
-    """(best elapsed seconds, result from the best round).
+def call_block(fn: Callable[[], object]) -> Callable[[int], list[float]]:
+    """A :func:`time_variants` block that times ``k`` calls of ``fn``.
 
-    For workloads too heavy to interleave (multi-process scaling runs):
-    best-of-N suppresses scheduler noise without the block machinery.
+    Each call is clocked on its own with the collector disabled for the
+    whole block and never run in it, which suits calls far cheaper than a
+    full collection (a ranking query over a bank holding millions of
+    live records) as well as multi-process rounds whose garbage lives in
+    the workers.
     """
-    best = float("inf")
-    best_result = None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-            best_result = result
-    return best, best_result
+
+    def block(k: int) -> list[float]:
+        times = []
+        gc.disable()
+        try:
+            for _ in range(k):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+        return times
+
+    return block
+
+
+def quartiles(times: list[float]) -> dict[str, float]:
+    """Median and interquartile bounds of ``times`` (>= 2 samples)."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def machine_info() -> dict[str, object]:
