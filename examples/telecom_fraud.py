@@ -4,8 +4,8 @@ Reproduces the three stream aggregates the paper motivates with, over a
 synthetic CallDetail(origin, dialed, time, duration, isIntl) stream:
 
 * Example 1 (level 0): number of international calls in the recent window
-  that took longer than 10 minutes — exactly computable with the level-0
-  stream operator.
+  that took longer than 10 minutes — exactly computable as the sliding SUM
+  of a 0/1 indicator with the level-0 scope aggregate.
 * Example 2 (level 1, landmark, AVG): number of international calls longer
   than the average call duration — approximated with a focused histogram.
 * Example 3 (level 1, sliding, MAX): number of calls within 10% of the
@@ -23,8 +23,7 @@ from repro.core.exact import ExactOracle
 from repro.core.query import CorrelatedQuery
 from repro.datasets.calldetail import call_detail_stream
 from repro.streams.model import Record
-from repro.streams.operators import StreamAggregateOperator
-from repro.streams.scopes import SlidingWindowScope
+from repro.streams.operators import ScopeAggregate
 
 WINDOW = 2_000  # "recent" = the last 2000 calls
 CHECKPOINTS = (2_000, 5_000, 10_000, 15_000, 20_000)
@@ -33,13 +32,13 @@ CHECKPOINTS = (2_000, 5_000, 10_000, 15_000, 20_000)
 def example_1_long_intl_calls(calls) -> None:
     """Level 0: COUNT of recent international calls longer than 10 minutes."""
     print("Example 1 - recent international calls over 10 minutes (exact, level 0)")
-    operator = StreamAggregateOperator(
-        "count",
-        SlidingWindowScope(WINDOW),
-        predicate=lambda r: r.y > 10.0,  # y carries the duration here
-        window=WINDOW,
-    )
-    outputs = [operator.update(Record(x=0.0, y=c.duration if c.is_intl else -1.0)) for c in calls]
+    # x is 1 for an international call over 10 minutes, else 0: the
+    # level-0 COUNT with that predicate is the SUM of the indicator.
+    window_sum = ScopeAggregate("sum", window=WINDOW)
+    outputs = []
+    for c in calls:
+        window_sum.push(Record(x=1.0 if c.is_intl and c.duration > 10.0 else 0.0))
+        outputs.append(window_sum.value())
     for step in CHECKPOINTS:
         print(f"  after {step:>6} calls: {outputs[step - 1]:>6.0f}")
     print()

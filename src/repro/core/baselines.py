@@ -4,10 +4,12 @@ These are the paper's competing methods: the value histogram covers the
 whole domain — equiwidth (fixed a-priori domain, single pass) or "true"
 equidepth (exact per-step quantile boundaries, the paper's deliberately
 unfair multi-pass baseline) — and the threshold query is answered from it
-by interpolation.  The independent aggregate itself is maintained exactly
-(running extrema/mean for landmark scopes; monotonic-deque extrema and
-reverse-Welford mean for sliding scopes — more unfair advantage, since the
-focused methods must approximate sliding extrema).
+by interpolation.  The independent aggregate itself is maintained exactly,
+by the same :class:`~repro.streams.operators.ScopeAggregate` the exact
+oracle holds (running extrema and mean for landmark scopes; monotonic-deque
+extrema and the exactly rounded window mean for sliding scopes) — more
+unfair advantage, since the focused methods must approximate sliding
+extrema.
 
 The comparison isolates the paper's thesis: the *bucket placement* is what
 matters, not the quality of the threshold.
@@ -25,9 +27,7 @@ from repro.histograms.equiwidth import EquiwidthHistogram
 from repro.histograms.streaming_equidepth import StreamingEquidepthHistogram
 from repro.obs.sink import NULL_SINK, ObsSink
 from repro.streams.model import BatchedIngest, Record, ensure_finite
-from repro.structures.monotonic_deque import MonotonicDeque
-from repro.structures.ring_buffer import RingBuffer
-from repro.structures.welford import RunningMoments
+from repro.streams.operators import ScopeAggregate
 
 
 class _TraditionalEstimator(BatchedIngest):
@@ -36,49 +36,14 @@ class _TraditionalEstimator(BatchedIngest):
     def __init__(self, query: CorrelatedQuery, sink: ObsSink | None = None) -> None:
         self._query = query
         self._obs = sink if sink is not None else NULL_SINK
-        self._count = 0
-        if query.is_sliding:
-            window = query.window
-            assert window is not None
-            self._ring: RingBuffer[Record] | None = RingBuffer(window)
-            if query.independent in ("min", "max"):
-                self._deque: MonotonicDeque | None = MonotonicDeque(
-                    window, mode=query.independent
-                )
-            else:
-                self._deque = None
-        else:
-            self._ring = None
-            self._deque = None
-        self._moments = RunningMoments()
-        self._extremum: float | None = None
+        self._scope = ScopeAggregate(query.independent, query.window)
 
     @property
     def query(self) -> CorrelatedQuery:
         return self._query
 
     def _independent_value(self) -> float:
-        if self._query.independent == "avg":
-            return self._moments.mean
-        if self._deque is not None:
-            return self._deque.extremum()
-        assert self._extremum is not None
-        return self._extremum
-
-    def _track_independent(self, record: Record, evicted: Record | None) -> None:
-        if self._query.independent == "avg":
-            self._moments.push(record.x)
-            if evicted is not None:
-                self._moments.remove(evicted.x)
-        elif self._deque is not None:
-            self._deque.push(record.x)
-        else:
-            if self._extremum is None:
-                self._extremum = record.x
-            elif self._query.independent == "min":
-                self._extremum = min(self._extremum, record.x)
-            else:
-                self._extremum = max(self._extremum, record.x)
+        return self._scope.value()
 
     # Subclasses provide histogram add/remove/estimates.
 
@@ -97,27 +62,24 @@ class _TraditionalEstimator(BatchedIngest):
     def update(self, record: Record) -> float:
         """Consume the next tuple; return the current estimate."""
         ensure_finite(record)
-        evicted = self._ring.push(record) if self._ring is not None else None
-        self._track_independent(record, evicted)
+        evicted = self._scope.push(record)
         if evicted is not None:
             self._histogram_remove(evicted)
-            self._count -= 1
             if self._obs.enabled:
                 self._obs.emit("window.expire", count=1.0)
         self._histogram_add(record)
-        self._count += 1
         return self.estimate()
 
     def obs_state(self) -> dict[str, float]:
         """Live state-size gauges for the instrumentation layer."""
-        state = {"live": float(self._count)}
-        if self._ring is not None:
-            state["ring"] = float(len(self._ring))
+        state = {"live": float(len(self._scope))}
+        if self._query.is_sliding:
+            state["ring"] = state["live"]
         return state
 
     def estimate(self) -> float:
         """Current estimate of the correlated aggregate."""
-        if self._count == 0:
+        if not len(self._scope):
             return 0.0
         query = self._query
         lo, hi = query.band(self._independent_value())

@@ -20,11 +20,8 @@ from collections.abc import Iterable, Sequence
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError
 from repro.streams.model import BatchedIngest, Record, ensure_finite
-from repro.structures.exact_sum import ExactSum
+from repro.streams.operators import ScopeAggregate
 from repro.structures.fenwick import OrderStatisticsIndex
-from repro.structures.monotonic_deque import MonotonicDeque
-from repro.structures.ring_buffer import RingBuffer
-from repro.structures.welford import RunningMoments
 
 
 class ExactOracle(BatchedIngest):
@@ -46,74 +43,19 @@ class ExactOracle(BatchedIngest):
     ) -> None:
         self._query = query
         self._index = OrderStatisticsIndex(universe)
-        if query.is_sliding:
-            window = query.window
-            assert window is not None
-            self._ring: RingBuffer[Record] | None = RingBuffer(window)
-            if query.independent == "avg":
-                self._window_sum = ExactSum()
-            if query.independent in ("min", "max"):
-                self._deque: MonotonicDeque | None = MonotonicDeque(
-                    window, mode=query.independent
-                )
-            else:
-                self._deque = None
-        else:
-            self._ring = None
-            self._deque = None
-        self._moments = RunningMoments()
-        self._extremum: float | None = None
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        sliding_avg = self._ring is not None and self._query.independent == "avg"
-        if sliding_avg and "_window_sum" not in state:
-            # A checkpoint written before the running window sum existed.
-            self._window_sum = ExactSum()
-            for cell in self._ring:
-                self._window_sum.add(cell.x)
+        self._scope = ScopeAggregate(query.independent, query.window)
 
     @property
     def query(self) -> CorrelatedQuery:
         return self._query
 
     def _independent_value(self) -> float:
-        if self._query.independent == "avg":
-            if self._ring is not None:
-                # Exactly-rounded, order-independent window mean: a value
-                # can sit exactly on the mean (symmetric windows), where a
-                # last-ulp difference between incremental recurrences flips
-                # the strict predicate.  The exact running partials give
-                # math.fsum over the window in O(#partials), not O(w).
-                ring = self._ring
-                return self._window_sum.fsum(cell.x for cell in ring) / len(ring)
-            return self._moments.mean
-        if self._deque is not None:
-            return self._deque.extremum()
-        assert self._extremum is not None
-        return self._extremum
+        return self._scope.value()
 
     def update(self, record: Record) -> float:
         """Consume the next tuple; return the exact aggregate value."""
         ensure_finite(record)
-        evicted = self._ring.push(record) if self._ring is not None else None
-        if self._query.independent == "avg":
-            if self._ring is None:
-                self._moments.push(record.x)
-            else:
-                self._window_sum.add(record.x)
-                if evicted is not None:
-                    self._window_sum.remove(evicted.x)
-        elif self._deque is not None:
-            self._deque.push(record.x)
-        else:
-            if self._extremum is None:
-                self._extremum = record.x
-            elif self._query.independent == "min":
-                self._extremum = min(self._extremum, record.x)
-            else:
-                self._extremum = max(self._extremum, record.x)
-
+        evicted = self._scope.push(record)
         if evicted is not None:
             self._index.delete(evicted.x, evicted.y)
         self._index.insert(record.x, record.y)
@@ -122,8 +64,8 @@ class ExactOracle(BatchedIngest):
     def obs_state(self) -> dict[str, float]:
         """Live state-size gauges for the instrumentation layer."""
         state = {"indexed": float(len(self._index))}
-        if self._ring is not None:
-            state["ring"] = float(len(self._ring))
+        if self._query.is_sliding:
+            state["ring"] = float(len(self._scope))
         return state
 
     def estimate(self) -> float:

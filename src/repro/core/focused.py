@@ -702,7 +702,7 @@ class FocusedEstimatorBase(BatchedIngest):
         independent = self._independent_value()
         qualifying = [r for r in self._buffer if self._query.qualifies(r.x, independent)]
         count = float(len(qualifying))
-        weight = sum(r.y for r in qualifying)
+        weight = sum((r.y for r in qualifying), 0.0)
         return self._query.value_from(count, weight)
 
     def estimate_bounds(self) -> tuple[float, float]:

@@ -340,7 +340,7 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
         """
         if self._buffer is not None:
             count = float(len(self._buffer))
-            weight = sum(r.y for r in self._buffer)
+            weight = sum((r.y for r in self._buffer), 0.0)
             return self._query.value_from(count, weight)
         assert self._inner is not None
         total = self._inner.total().clamped()

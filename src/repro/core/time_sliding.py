@@ -294,5 +294,5 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             cell[1] for cell in self._live if self._query.qualifies(cell[1].x, independent)
         ]
         count = float(len(qualifying))
-        weight = sum(r.y for r in qualifying)
+        weight = sum((r.y for r in qualifying), 0.0)
         return self._query.value_from(count, weight)

@@ -388,13 +388,16 @@ class GatedKeyedBank:
         """Build a full estimator for ``key``, replaying its buffer.
 
         ``record`` is the update that triggered the promotion; when it is
-        the buffer's newest record it is fed through ``update`` last, whose
-        return value is the key's answer.  Returns that answer, or
-        ``None`` (and defers) when the memory budget cannot fit the new
-        estimator even after demoting every colder key.
+        the buffer's newest record, or the buffer is empty, it is fed
+        through ``update`` last, whose return value is the key's answer.
+        Returns that answer, or ``None`` (and defers) when the memory
+        budget cannot fit the new estimator even after demoting every
+        colder key.
         """
         estimator = self._build()
-        buffer = slot.buffer
+        # Without a replay buffer the triggering record is the only one
+        # the new estimator can see (an empty one has no answer to give).
+        buffer = slot.buffer or [record]
         replayed = len(buffer)
         if replayed and buffer[-1] is record:
             if replayed > 1:

@@ -40,7 +40,7 @@ from repro.exceptions import StreamError
 from repro.streams.model import StreamAlgorithm
 
 #: Bumped when estimator internals change incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAGIC = b"repro-checkpoint"
 

@@ -1,147 +1,169 @@
-"""Exact level-0 stream aggregate operators.
+"""The exact level-0 scope aggregate.
 
-A *level 0* stream aggregate (paper Section 2.1) has a selection predicate
-that does not itself contain an aggregate — e.g. Example 1's
+A *level 0* stream aggregate (paper Section 2.1) is an exact aggregate
+whose scope is the full, a landmark or a sliding window — e.g. Example 1's
 
     COUNT { origin :  j in swScope(i), isIntl = 1, duration > 10 }
 
-These are exactly computable in bounded space for COUNT/SUM/AVG (running
-counters) and for extrema over landmark scopes (monotone); sliding-window
-extrema use the monotonic deque.  They serve two roles in this repo:
+which is the SUM of a 0/1 indicator over ``swScope_w``.
+:class:`ScopeAggregate` is that operator for MIN, MAX, AVG and SUM of the
+records' ``x``.  It is the one exact independent aggregate in the library:
+the exact oracle (:mod:`repro.core.exact`), the traditional-histogram
+baselines (:mod:`repro.core.baselines`) and ``examples/telecom_fraud.py``
+each hold one.
 
-1. building blocks for the examples that mirror the paper's Section 2
-   (``examples/telecom_fraud.py``);
-2. ground truth in tests for the scope drivers.
+Each kind is an accumulator shaped like an incremental aggregation
+function — ``add`` a value, ``sub`` an expired one (sliding scopes only),
+``end`` to read the aggregate:
 
-The correlated estimators do not use them: each tracks its independent
-aggregate itself (:mod:`repro.structures` and :mod:`repro.core`).
+* sliding SUM/AVG subtract exactly through :class:`ExactSum`, so the value
+  is ``math.fsum`` over the window (divided by its length for AVG);
+* sliding MIN/MAX cannot subtract, so a :class:`MonotonicDeque` expires by
+  position (on a tie the newer value wins);
+* landmark AVG is Welford's running mean (:class:`RunningMoments`);
+* landmark MIN/MAX/SUM are a running fold (on a MIN/MAX tie the older
+  value stays).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+import operator
 from collections.abc import Callable
 
 from repro.exceptions import ConfigurationError, EmptyScopeError
 from repro.streams.model import Record
-from repro.streams.scopes import Scope, ScopeEvent
+from repro.structures.exact_sum import ExactSum
+from repro.structures.monotonic_deque import MonotonicDeque
+from repro.structures.ring_buffer import RingBuffer
 from repro.structures.welford import RunningMoments
 
-Predicate = Callable[[Record], bool]
+KINDS = ("min", "max", "avg", "sum")
 
 
-def _always(_: Record) -> bool:
-    return True
+class _RunningFold:
+    """Landmark MIN, MAX or SUM: ``fold`` every value into one float."""
+
+    def __init__(self, fold: Callable[[float, float], float], start: float) -> None:
+        self._fold = fold
+        self._value = start
+
+    def add(self, x: float) -> None:
+        self._value = self._fold(self._value, x)
+
+    def end(self, window: RingBuffer[Record] | None) -> float:
+        return self._value
 
 
-class StreamAggregateOperator:
-    """Exact ``Agg(AGG, scope, P)`` for level-0 predicates.
+class _RunningMean(RunningMoments):
+    """Landmark AVG: Welford's running mean."""
+
+    add = RunningMoments.push
+
+    def end(self, window: RingBuffer[Record] | None) -> float:
+        return self.mean
+
+
+class _WindowExtremum(MonotonicDeque):
+    """Sliding MIN or MAX: the deque forgets expired values by position."""
+
+    add = MonotonicDeque.push
+
+    def sub(self, x: float) -> None:
+        pass
+
+    def end(self, window: RingBuffer[Record] | None) -> float:
+        return self.extremum()
+
+
+class _WindowSum(ExactSum):
+    """Sliding SUM: ``math.fsum`` over the window, from exact partials."""
+
+    sub = ExactSum.remove
+
+    def end(self, window: RingBuffer[Record] | None) -> float:
+        assert window is not None
+        return self.fsum(cell.x for cell in window)
+
+
+class _WindowMean(_WindowSum):
+    """Sliding AVG: the exactly rounded window sum over the window length.
+
+    A value can sit exactly on the mean (symmetric windows), where a
+    last-ulp difference between incremental recurrences flips a strict
+    predicate; ``math.fsum`` is order-independent, so this mean is not.
+    """
+
+    def end(self, window: RingBuffer[Record] | None) -> float:
+        return super().end(window) / len(window)  # type: ignore[arg-type]
+
+
+class ScopeAggregate:
+    """Exact ``kind`` of the records' ``x`` over a landmark or sliding scope.
 
     Parameters
     ----------
-    aggregate:
-        One of ``'count'``, ``'sum'``, ``'avg'``, ``'min'``, ``'max'``.
-        COUNT counts qualifying records; the others aggregate over ``y``.
-    scope:
-        A scope driver from :mod:`repro.streams.scopes`.
-    predicate:
-        Level-0 predicate over the record; defaults to accepting everything.
+    kind:
+        One of ``'min'``, ``'max'``, ``'avg'``, ``'sum'``.
     window:
-        Required when ``scope`` is a sliding window **and** the operator must
-        forget expired records (extrema, and predicate-filtered count/sum):
-        the number of positions the scope retains.
+        ``None`` for the full (landmark) scope ``fScope``; otherwise the
+        sliding scope ``swScope_w`` over the last ``window`` records.
+
+    >>> agg = ScopeAggregate("min", window=2)
+    >>> [agg.push(Record(x)) for x in (5.0, 3.0, 7.0)][-1]
+    Record(x=5.0, y=1.0)
+    >>> agg.value(), len(agg)
+    (3.0, 2)
     """
 
-    _AGGREGATES = ("count", "sum", "avg", "min", "max")
-
-    def __init__(
-        self,
-        aggregate: str,
-        scope: Scope,
-        predicate: Predicate | None = None,
-        window: int | None = None,
-    ) -> None:
-        if aggregate not in self._AGGREGATES:
-            raise ConfigurationError(
-                f"aggregate must be one of {self._AGGREGATES}, got {aggregate!r}"
-            )
-        self._aggregate = aggregate
-        self._scope = scope
-        self._predicate = predicate or _always
-        self._window = window
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._count = 0
-        self._sum = 0.0
-        self._moments = RunningMoments()
-        if self._window is not None:
-            self._buffer: deque[tuple[Record, bool]] = deque()
-            if self._aggregate in ("min", "max"):
-                # Position-stamped monotonic deque: qualifying records can be
-                # sparse, so expiry must follow stream positions, not pushes.
-                self._deque: deque[tuple[int, float]] = deque()
-        elif self._aggregate in ("min", "max"):
-            self._extremum: float | None = None
-
-    def _ingest(self, record: Record, qualifies: bool) -> None:
-        if not qualifies:
-            return
-        self._count += 1
-        self._sum += record.y
-        self._moments.push(record.y)
-        if self._window is None and self._aggregate in ("min", "max"):
-            if self._extremum is None:
-                self._extremum = record.y
-            elif self._aggregate == "min":
-                self._extremum = min(self._extremum, record.y)
+    def __init__(self, kind: str, window: int | None = None) -> None:
+        if kind not in KINDS:
+            raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")
+        self._kind = kind
+        self._size = 0
+        self._ring: RingBuffer[Record] | None = None
+        if window is None:
+            if kind == "avg":
+                self._agg = _RunningMean()
+            elif kind == "sum":
+                self._agg = _RunningFold(operator.add, 0.0)
             else:
-                self._extremum = max(self._extremum, record.y)
-
-    def _expire_oldest(self) -> None:
-        record, qualified = self._buffer.popleft()
-        if qualified:
-            self._count -= 1
-            self._sum -= record.y
-            self._moments.remove(record.y)
-
-    def update(self, record: Record) -> float:
-        """Consume the next record and return the current aggregate value."""
-        event: ScopeEvent = self._scope.advance()
-        if event.reset and event.position > 1:
-            self._reset_state()
-        qualifies = self._predicate(record)
-        if self._window is not None:
-            self._buffer.append((record, qualifies))
-            if self._aggregate in ("min", "max") and qualifies:
-                self._push_extremum(event.position, record.y)
-            if event.expired is not None:
-                self._expire_oldest()
-                if self._aggregate in ("min", "max"):
-                    while self._deque and self._deque[0][0] <= event.expired:
-                        self._deque.popleft()
-        self._ingest(record, qualifies)
-        return self.value()
-
-    def _push_extremum(self, position: int, value: float) -> None:
-        if self._aggregate == "min":
-            while self._deque and self._deque[-1][1] >= value:
-                self._deque.pop()
+                start = math.inf if kind == "min" else -math.inf
+                self._agg = _RunningFold(min if kind == "min" else max, start)
         else:
-            while self._deque and self._deque[-1][1] <= value:
-                self._deque.pop()
-        self._deque.append((position, value))
+            self._ring = RingBuffer(window)
+            if kind == "avg":
+                self._agg = _WindowMean()
+            elif kind == "sum":
+                self._agg = _WindowSum()
+            else:
+                self._agg = _WindowExtremum(window, mode=kind)
+
+    @property
+    def window(self) -> RingBuffer[Record] | None:
+        """The live records of a sliding scope, oldest first; ``None`` if landmark."""
+        return self._ring
+
+    def __len__(self) -> int:
+        """Number of records in the scope."""
+        return self._size
+
+    def push(self, record: Record) -> Record | None:
+        """Add the next record; return the one that slid out, if any."""
+        self._agg.add(record.x)
+        ring = self._ring
+        if ring is None:
+            self._size += 1
+            return None
+        evicted = ring.push(record)
+        if evicted is None:
+            self._size += 1
+        else:
+            self._agg.sub(evicted.x)
+        return evicted
 
     def value(self) -> float:
-        """Current value of the output sequence."""
-        if self._aggregate == "count":
-            return float(self._count)
-        if self._aggregate == "sum":
-            return self._sum
-        if self._count == 0:
-            raise EmptyScopeError(f"{self._aggregate} over an empty qualifying set")
-        if self._aggregate == "avg":
-            return self._sum / self._count
-        if self._window is not None:
-            return self._deque[0][1]
-        return self._extremum  # type: ignore[return-value]
+        """The exact aggregate over the current scope."""
+        if not self._size:
+            raise EmptyScopeError(f"{self._kind} over an empty scope")
+        return self._agg.end(self._ring)

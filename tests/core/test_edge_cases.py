@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import build_estimator, methods_for_query
+from repro.core.engine import FOCUSED_METHODS, build_estimator, methods_for_query
 from repro.core.landmark_extrema import LandmarkExtremaEstimator
 from repro.core.query import CorrelatedQuery
 from repro.core.time_sliding import TimeSlidingEstimator
@@ -43,6 +43,21 @@ class TestDegenerateStreams:
                 out = est.update(r)
             # Every value is within (1+eps) of the min: count == n.
             assert out == pytest.approx(50.0, abs=1.0), method
+
+    @pytest.mark.parametrize("method", FOCUSED_METHODS)
+    @pytest.mark.parametrize("scope", ["landmark", "sliding", "time"])
+    def test_warmup_sum_with_nothing_qualifying_is_a_float(self, method, scope):
+        # Two equal values: nothing lies strictly above their mean.
+        query = CorrelatedQuery("sum", "avg", window=16 if scope == "sliding" else None)
+        if scope == "time":
+            est = build_estimator(query, method, num_buckets=4, time_window=10.0)
+            est.update(1.0, Record(1.0))
+            out = est.update(2.0, Record(1.0))
+        else:
+            est = build_estimator(query, method, num_buckets=4)
+            est.update(Record(1.0))
+            out = est.update(Record(1.0))
+        assert repr(out) == "0.0" and type(out) is float
 
     def test_two_distinct_values_avg(self):
         records = make_records([1.0, 9.0] * 40)

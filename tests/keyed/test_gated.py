@@ -114,6 +114,30 @@ class TestPromotion:
         assert events[0].fields["exact"] == 1.0
         assert events[0].fields["missed"] == 0.0
 
+    @pytest.mark.parametrize("threshold", [1, 3])
+    def test_promotion_without_replay_buffer(self, threshold):
+        # No buffered record to replay: the triggering record is fed to the
+        # new estimator (a sliding-extrema estimator has no answer while
+        # empty) and counted as its one consumed record.
+        query = CorrelatedQuery("count", "min", epsilon=1.5, window=12)
+        bank = GatedKeyedBank(
+            query,
+            method="wholesale-uniform",
+            promote_threshold=threshold,
+            replay_buffer=0,
+        )
+        solo = build_estimator(query, "wholesale-uniform", num_buckets=10)
+        records = [Record(float(x), -float(x)) for x in (7, 3, 9, 4, 8, 2, 6)]
+        for i, record in enumerate(records):
+            value = bank.update("k", record)
+            if i + 1 >= threshold:
+                assert value == solo.update(record)
+        assert bank.is_promoted("k")
+        assert bank._missed["k"] == threshold - 1
+        assert bank._hits["k"] == len(records) - threshold + 1
+        assert bank._mass["k"] == sum(abs(r.y) for r in records[threshold - 1 :])
+        assert bank.estimate_interval("k").exact_history == (threshold == 1)
+
     def test_update_accepts_tuples(self):
         bank = GatedKeyedBank(QUERY)
         value = bank.update("k", (5.0, 2.0))

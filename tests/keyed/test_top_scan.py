@@ -119,7 +119,7 @@ class TestMatchesFullScan:
             num_buckets=NUM_BUCKETS,
             sketch_capacity=data.draw(st.sampled_from([2, 4, 8]), label="capacity"),
             promote_threshold=data.draw(st.integers(1, 3), label="threshold"),
-            replay_buffer=data.draw(st.sampled_from([None, 1]), label="buffer"),
+            replay_buffer=data.draw(st.sampled_from([None, 0, 1]), label="buffer"),
             # 1 estimator's worth defers some promotions; 2-3 demote.
             memory_budget=None if budget is None else budget * probe._estimator_bytes_hint,
             **options,

@@ -1,4 +1,4 @@
-"""Tests for scope functions and their incremental drivers."""
+"""Tests for the scope functions (position sets)."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.streams.scopes import (
-    FullWindowScope,
-    LandmarkScope,
-    PeriodicLandmarkScope,
-    SlidingWindowScope,
     full_scope_positions,
     landmark_scope_positions,
     sliding_scope_positions,
@@ -40,51 +36,3 @@ class TestPositionSets:
         with pytest.raises(ConfigurationError):
             landmark_scope_positions(3, [5])
 
-
-class TestDrivers:
-    def test_full_window_never_resets_after_start(self):
-        scope = FullWindowScope()
-        first = scope.advance()
-        assert first.reset and first.position == 1 and first.expired is None
-        for i in range(2, 6):
-            event = scope.advance()
-            assert not event.reset and event.expired is None and event.position == i
-
-    def test_landmark_resets_on_landmarks(self):
-        scope = LandmarkScope([1, 4])
-        resets = [scope.advance().reset for _ in range(6)]
-        assert resets == [True, False, False, True, False, False]
-
-    def test_landmark_always_includes_position_one(self):
-        scope = LandmarkScope([10])
-        assert scope.advance().reset
-
-    def test_landmark_rejects_bad_positions(self):
-        with pytest.raises(ConfigurationError):
-            LandmarkScope([0])
-
-    def test_periodic_landmark(self):
-        scope = PeriodicLandmarkScope(3)
-        resets = [scope.advance().reset for _ in range(7)]
-        assert resets == [True, False, False, True, False, False, True]
-
-    def test_periodic_rejects_bad_period(self):
-        with pytest.raises(ConfigurationError):
-            PeriodicLandmarkScope(0)
-
-    def test_sliding_window_expiry(self):
-        scope = SlidingWindowScope(3)
-        events = [scope.advance() for _ in range(5)]
-        assert [e.expired for e in events] == [None, None, None, 1, 2]
-        assert events[0].reset and not events[1].reset
-
-    def test_sliding_window_matches_position_sets(self):
-        window = 4
-        scope = SlidingWindowScope(window)
-        live: list[int] = []
-        for i in range(1, 12):
-            event = scope.advance()
-            live.append(event.position)
-            if event.expired is not None:
-                live.remove(event.expired)
-            assert live == list(sliding_scope_positions(i, window))

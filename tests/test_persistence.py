@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.core.engine import METHODS, build_estimator
+from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import StreamError
 from repro.keyed import GatedKeyedBank
@@ -99,6 +99,15 @@ class TestHeaderValidation:
         payload = pickle.loads(blob)
         payload["format"] = FORMAT_VERSION + 1
         with pytest.raises(StreamError):
+            loads_estimator(pickle.dumps(payload))
+
+    def test_format_1_rejected(self):
+        # Format 1 pickled the exact oracle's and the baselines' private
+        # scope state; format 2 holds one ScopeAggregate instead.
+        oracle = build_estimator(QUERIES["sw-min"], "exact", universe=[1.0])
+        payload = pickle.loads(dumps_estimator(oracle))
+        payload["format"] = 1
+        with pytest.raises(StreamError, match="checkpoint format 1 is not supported"):
             loads_estimator(pickle.dumps(payload))
 
     def test_missing_estimator_payload_rejected(self):
