@@ -18,15 +18,15 @@ Only landmark-scope focused estimators are shardable: sliding windows are
 defined over a single arrival order, which partitioning destroys, so
 sliding queries (and ``time_window=``) are rejected up front.
 
-IPC protocol: one input lane per shard through the shared-memory slot
+IPC protocol: one duplex pipe per shard beside the shared-memory slot
 ring of :class:`~repro.parallel.transport.ShmTransport` (chunks travel
-as float64 columns written straight into a slab; per-shard FIFO makes the
-query message a natural barrier) and one shared output queue — see
-:mod:`repro.parallel.transport` for the slot lifecycle and backpressure
-semantics.  Each worker feeds chunks straight into its
-estimator's ``update_columns`` kernel with ``collect="none"`` — no
-per-record estimates, no per-record objects on the wire.  Workers receive
-their estimator as an explicit pickle payload, so construction is
+as float64 columns written straight into a slab; the pipe's FIFO makes
+the query message a natural barrier, and carries the slot returns,
+summaries and errors back) — see :mod:`repro.parallel.transport` for
+the slot lifecycle and backpressure semantics.  Each worker feeds chunks
+straight into its estimator's ``update_columns`` kernel with
+``collect="none"`` — no per-record estimates, no per-record objects on
+the wire.  Workers receive their estimator as an explicit pickle payload, so construction is
 identical — and tested — under both ``fork`` and ``spawn`` start methods.
 """
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-import queue as queue_mod
 import traceback
 from collections.abc import Iterable
 
@@ -54,7 +53,7 @@ __all__ = ["ShardedIngestor"]
 _MAX_SHARDS = 64
 
 
-def _shard_worker(shard_id: int, estimator_payload: bytes, endpoint, out_queue) -> None:
+def _shard_worker(estimator_payload: bytes, endpoint) -> None:
     """One worker process: unpickle the estimator, drain chunks, answer queries."""
     ingested = 0
     try:
@@ -69,14 +68,18 @@ def _shard_worker(shard_id: int, estimator_payload: bytes, endpoint, out_queue) 
                 del xs, ys, chunk  # drop slab views before the slot is reused
                 endpoint.release()
             elif kind == "query":
-                out_queue.put(("summary", shard_id, estimator, ingested))
+                endpoint.reply(("summary", estimator, ingested))
             elif kind == "stop":
-                out_queue.put(("stopped", shard_id, ingested))
                 return
-    except Exception:
+    except Exception as exc:
         # Report how far this shard got so the coordinator can log the
-        # partial progress alongside the traceback.
-        out_queue.put(("error", shard_id, traceback.format_exc(), ingested))
+        # partial progress alongside the traceback.  The traceback's
+        # frames, this one's included, still hold slab views: drop them
+        # all, or detach() cannot unmap the slabs.
+        report = traceback.format_exc()
+        xs = ys = chunk = None
+        traceback.clear_frames(exc.__traceback__)
+        endpoint.reply(("error", report, ingested))
     finally:
         try:
             endpoint.detach()
@@ -171,7 +174,6 @@ class ShardedIngestor:
         self._partitioner = make_partitioner(partition, shards)
         self._transport = ShmTransport(chunk_size, stall_timeout=result_timeout)
         self._start_method = start_method
-        self._timeout = result_timeout
         self._obs = sink if sink is not None else NULL_SINK
         self._tracer = tracer if tracer is not None else NULL_TRACER
         # Build every shard's estimator in the coordinator and ship it as
@@ -186,11 +188,9 @@ class ShardedIngestor:
         ]
         self._buffers: list[list[Record]] = [[] for _ in range(shards)]
         self._prime_buffer: list[Record] = []
-        self._sent = [0] * shards
         self._ingested = 0
         self._last_bound: float | None = None
         self._processes: list[mp.process.BaseProcess] = []
-        self._out = None
         self._started = False
         self._closed = False
 
@@ -203,25 +203,23 @@ class ShardedIngestor:
         if self._closed:
             raise StreamError("ShardedIngestor was closed; build a new one")
         ctx = mp.get_context(self._start_method)
-        self._out = ctx.Queue()
         self._transport.start(ctx, self._shards)
-        self._transport.liveness = self._dead_worker
+        self._transport.on_error = self._worker_failed
         self._processes = []
         try:
             for shard_id in range(self._shards):
                 process = ctx.Process(
                     target=_shard_worker,
                     args=(
-                        shard_id,
                         self._payloads[shard_id],
                         self._transport.worker_endpoint(shard_id),
-                        self._out,
                     ),
                     daemon=True,
                     name=f"repro-shard-{shard_id}",
                 )
                 process.start()
                 self._processes.append(process)
+                self._transport.adopt(process)
         except BaseException:
             # A worker that failed to launch must not leak the slabs the
             # transport already mapped.
@@ -229,13 +227,15 @@ class ShardedIngestor:
             raise
         self._started = True
 
-    def _dead_worker(self, shard: int) -> str | None:
-        """Liveness probe the transport polls while blocked on a slot."""
-        if shard < len(self._processes):
-            process = self._processes[shard]
-            if not process.is_alive():
-                return f"{process.name} exitcode={process.exitcode}"
-        return None
+    def _worker_failed(self, shard: int, ingested: int, sent: int) -> None:
+        """Obs hook the transport calls before raising a worker's error."""
+        if self._obs.enabled:
+            self._obs.emit(
+                "parallel.worker_error",
+                shard=float(shard),
+                ingested=float(ingested),
+                sent=float(sent),
+            )
 
     def close(self) -> None:
         """Stop the workers, reclaim the processes, release the transport."""
@@ -245,16 +245,16 @@ class ShardedIngestor:
         for shard in range(self._shards):
             try:
                 self._transport.send_control(shard, ("stop",))
-            except (OSError, ValueError):
+            except StreamError:  # already dead; join() reaps it below
                 pass
         for process in self._processes:
             process.join(timeout=5.0)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
+            if not process.is_alive():
+                process.close()  # releases its sentinel now, not at collection
         self._transport.close()
-        self._out.close()
-        self._out.cancel_join_thread()
         self._closed = True
         self._started = False
 
@@ -328,7 +328,6 @@ class ShardedIngestor:
         if not buffer:
             return
         self._transport.send_records(shard, buffer)
-        self._sent[shard] += len(buffer)
         self._buffers[shard] = []
 
     def flush(self) -> None:
@@ -352,61 +351,20 @@ class ShardedIngestor:
         self.flush()
         for shard in range(self._shards):
             self._transport.send_control(shard, ("query",))
-        summaries: dict[int, FocusedEstimatorBase] = {}
-        counts: dict[int, int] = {}
-        waited = 0.0
-        poll = min(2.0, self._timeout)
-        while len(summaries) < self._shards:
-            try:
-                message = self._out.get(timeout=poll)
-            except queue_mod.Empty:
-                dead = [p.name for p in self._processes if not p.is_alive()]
-                waited += poll
-                if dead:
-                    raise StreamError(
-                        f"shard workers died before answering: {dead} "
-                        "(a worker that fails to unpickle its estimator "
-                        "exits without reporting; check the stderr above)"
-                    ) from None
-                if waited >= self._timeout:
-                    raise StreamError(
-                        f"timed out waiting for shard summaries after {self._timeout}s"
-                    ) from None
-                continue
-            tag = message[0]
-            if tag == "error":
-                shard_id = message[1]
-                done = message[3] if len(message) > 3 else None
-                progress = (
-                    f" after ingesting {done} of {self._sent[shard_id]} sent records"
-                    if done is not None
-                    else ""
-                )
-                if self._obs.enabled:
-                    self._obs.emit(
-                        "parallel.worker_error",
-                        shard=float(shard_id),
-                        ingested=float(done if done is not None else 0),
-                        sent=float(self._sent[shard_id]),
-                    )
-                raise StreamError(
-                    f"shard {shard_id} failed{progress}:\n{message[2]}"
-                )
-            if tag == "summary":
-                summaries[message[1]] = message[2]
-                counts[message[1]] = message[3]
+        replies = self._transport.collect()
         with self._tracer.span("parallel.merge", shards=float(self._shards)):
-            merged = merge_all([summaries[shard] for shard in range(self._shards)])
+            merged = merge_all([summary for summary, _ in replies])
         try:
             self._last_bound = merged.merge_error_bound()
         except ConfigurationError:  # AVG dependents have no defined bound
             self._last_bound = None
         if self._obs.enabled:
-            fields = {f"shard_{i}_records": float(counts[i]) for i in counts}
+            counts = [float(ingested) for _, ingested in replies]
+            fields = {f"shard_{i}_records": count for i, count in enumerate(counts)}
             self._obs.emit(
                 "parallel.merge",
                 shards=float(self._shards),
-                records=float(sum(counts.values())),
+                records=sum(counts),
                 **fields,
             )
             self._obs.emit("parallel.transport", **self._transport.stats())
@@ -440,8 +398,8 @@ class ShardedIngestor:
             ),
             "ingested": float(self._ingested),
         }
-        for shard, sent in enumerate(self._sent):
-            state[f"shard.{shard}.records"] = float(sent)
+        for shard in range(self._shards):
+            state[f"shard.{shard}.records"] = float(self._transport.records_sent(shard))
         for key, value in self._transport.stats().items():
             state[f"transport.{key}"] = float(value)
         return state

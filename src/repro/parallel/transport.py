@@ -2,26 +2,42 @@
 
 :class:`~repro.parallel.sharded.ShardedIngestor` moves records to its
 workers through :class:`ShmTransport`: a zero-copy double-buffered ring
-of ``multiprocessing.shared_memory`` float64 slabs per shard.  The
+of ``multiprocessing.shared_memory`` float64 slabs per shard, plus one
+duplex ``multiprocessing.Pipe`` per shard for everything else.  The
 coordinator writes the xs/ys columns **directly into a free slot's
-slab**, hands the slot over with a one-int control message, and the
-worker wraps the slab in a numpy view and feeds it straight into
-``update_columns(..., collect="none")`` — the column data crosses the
-process boundary without being pickled or copied.  When every slot of a
-shard's ring is in flight the coordinator **stalls** until the worker
-returns one; the stall count is the transport's backpressure gauge.
+slab**, hands the slot over with a one-tuple message down the shard's
+pipe, and the worker wraps the slab in a numpy view and feeds it
+straight into ``update_columns(..., collect="none")`` — the column data
+crosses the process boundary without being pickled or copied.  When
+every slot of a shard's ring is in flight the coordinator **stalls**
+until the worker returns one; the stall count is the transport's
+backpressure gauge.
+
+Each shard's pipe is one FIFO per direction.  Coordinator to worker:
+``("slot", i, n)``, ``("query",)`` and ``("stop",)``.  Worker to
+coordinator: ``("free", i)``, ``("summary", estimator, ingested)`` and
+``("error", traceback, ingested)``.  So a query message is a barrier
+behind every slot handed off before it, and the ``free`` of every slot
+the worker drained arrives ahead of its ``summary``.
 
 Slot lifecycle (``slots_per_shard`` defaults to 2 — double buffering)::
 
     coordinator                                  worker (shard i)
         free: {0, 1}                                  |
         write cols -> slab[0]                         |
-        control.put(("slot", 0, n)) ---------------> wrap numpy view,
+        send ("slot", 0, n) -----------------------> wrap numpy view,
         write cols -> slab[1]                         update_columns(...)
-        control.put(("slot", 1, n)) ----------+       |
-        free: {} -> BLOCK on free queue       |      free.put(0)
+        send ("slot", 1, n) ------------------+       |
+        free: {} -> read the pipe, BLOCK      |      send ("free", 0)
         (transport.stalls += 1)  <-- 0 -------+------ |
         write cols -> slab[0] ...                     |
+
+The coordinator reads every shard's replies in one loop,
+``multiprocessing.connection.wait`` over the shard pipes plus the worker
+processes' sentinels: returned slots go back on the shard's free list,
+a worker's ``error`` raises :class:`~repro.exceptions.StreamError` with
+the worker's traceback wherever the coordinator is waiting, and a worker
+that dies without a word is seen as soon as its sentinel fires.
 
 Worker-side attachment is **resource-tracker quiet**: workers never
 unlink (the coordinator owns every slab) and never unbalance the shared
@@ -35,22 +51,17 @@ coordinator that dies by SIGKILL leaves its resource tracker to clean
 up, and if the whole process group is killed (tracker included) the
 orphans stay in ``/dev/shm`` — :func:`unlink_stale_slabs` is the
 operator mop for that case.
-
-Summaries and errors still travel worker-to-coordinator over a plain
-shared output queue owned by the ingestor: that path carries a handful
-of messages per query, not per chunk, so it has nothing to gain from
-shared memory.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import secrets
 import time
+from collections.abc import Callable, Sequence
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -135,16 +146,17 @@ class ShmTransport:
     """Zero-copy slot ring over ``multiprocessing.shared_memory`` slabs.
 
     Per shard: ``slots_per_shard`` slabs of ``2 * chunk_size`` float64s
-    (xs column, then ys), a control queue carrying ``("slot", i, n)``
-    hand-offs (plus the query/stop fences), and a free queue returning
-    slot indices.  The column data itself never touches a queue.
+    (xs column, then ys) and one duplex pipe carrying the slot hand-offs,
+    the query/stop fences and every reply.  The column data itself never
+    touches the pipe.
 
     Backpressure: :meth:`send_records` blocks when no slot is free,
     counting one stall (and the seconds spent) per blocking acquire —
     a persistently stalling coordinator means the workers, not the
-    transport, are the bottleneck.  While blocked it polls ``liveness``
-    so a dead worker raises :class:`~repro.exceptions.StreamError`
-    instead of waiting out ``stall_timeout``.
+    transport, are the bottleneck.  Once :meth:`adopt` has the worker
+    processes, a dead worker raises :class:`~repro.exceptions.StreamError`
+    at once instead of waiting out ``stall_timeout``; so does a worker's
+    ``error`` reply, with its traceback.
     """
 
     def __init__(
@@ -162,12 +174,16 @@ class ShmTransport:
         self._capacity = chunk_size
         self._slots = slots_per_shard
         self._stall_timeout = stall_timeout
-        self.liveness: Callable[[int], str | None] | None = None
-        self._control: list = []
-        self._free: list = []
+        #: Called as ``on_error(shard, ingested, sent)`` just before a
+        #: worker's ``error`` reply is raised; the ingestor's obs hook.
+        self.on_error: Callable[[int, int, int], None] | None = None
+        self._conns: list = []
+        self._worker_conns: list = []
+        self._processes: list = []
         self._slabs: list[list[shared_memory.SharedMemory]] = []
         self._views: list[list[tuple]] = []
         self._local_free: list[list[int]] = []
+        self._records: list[int] = []
         self._handoffs = 0
         self._bytes = 0
         self._stalls = 0
@@ -175,93 +191,175 @@ class ShmTransport:
         self._closed = False
 
     def start(self, ctx, shards: int) -> None:
-        """Create the slabs, control and free-slot queues for every shard."""
+        """Create the slabs and one duplex pipe for every shard."""
         nbytes = 2 * self._capacity * _FLOAT_BYTES
-        self._control = [ctx.Queue() for _ in range(shards)]
-        self._free = [ctx.Queue() for _ in range(shards)]
+        pipes = [ctx.Pipe(duplex=True) for _ in range(shards)]
+        self._conns = [ours for ours, _ in pipes]
+        self._worker_conns = [theirs for _, theirs in pipes]
         self._slabs = [
             [_create_slab(nbytes) for _ in range(self._slots)] for _ in range(shards)
         ]
         self._views = [
             [_slab_views(slab, self._capacity) for slab in row] for row in self._slabs
         ]
-        # Every slot starts free on the coordinator side; the free queues
-        # only ever carry slots coming *back* from the workers.
+        # Every slot starts free on the coordinator side; the pipes only
+        # ever carry slots coming *back* from the workers.
         self._local_free = [list(range(self._slots)) for _ in range(shards)]
+        self._records = [0] * shards
+        self._processes = []
         self._closed = False
 
     def worker_endpoint(self, shard: int) -> "ShmEndpoint":
-        """The worker's handle: queues plus slab names to attach by."""
+        """The worker's handle: its pipe end plus slab names to attach by."""
         return ShmEndpoint(
-            self._control[shard],
-            self._free[shard],
+            self._worker_conns[shard],
             [slab.name for slab in self._slabs[shard]],
             self._capacity,
         )
 
+    def adopt(self, process) -> None:
+        """Take the next shard's started worker process, in shard order.
+
+        The worker now holds its own end of its pipe, so the coordinator
+        closes its copy (before the next fork can inherit it); the
+        process's sentinel joins the receive loop, so a dead worker is
+        seen at once.
+        """
+        self._worker_conns[len(self._processes)].close()
+        self._processes.append(process)
+
+    def records_sent(self, shard: int) -> int:
+        """Records handed off to ``shard`` so far (0 before :meth:`start`)."""
+        return self._records[shard] if shard < len(self._records) else 0
+
     def _acquire_slot(self, shard: int) -> int:
         local = self._local_free[shard]
-        if local:
-            return local.pop()
-        free = self._free[shard]
-        try:
-            # Returned slots cross a feeder thread, so allow a short grace
-            # before calling the wait a stall: a slot released moments ago
-            # is scheduling noise, not worker backpressure.
-            return free.get(timeout=0.005)
-        except queue_mod.Empty:
-            pass
-        # Ring exhausted: the worker owns every slot.  Block, counting
-        # the stall, until one comes back or the worker proves dead.
-        self._stalls += 1
-        started = time.perf_counter()
-        while True:
+        if not local:
+            # Take the slots already returned without blocking; only an
+            # empty pipe means the worker owns the whole ring.
+            self._drain(shard)
+        if not local:
+            self._stalls += 1
+            started = time.perf_counter()
             try:
-                slot = free.get(timeout=0.05)
+                self._receive([shard], lambda replies: bool(local), "for a free transport slot")
+            finally:
                 self._stall_seconds += time.perf_counter() - started
-                return slot
-            except queue_mod.Empty:
-                waited = time.perf_counter() - started
-                if self.liveness is not None:
-                    dead = self.liveness(shard)
-                    if dead:
-                        self._stall_seconds += waited
-                        raise StreamError(
-                            f"shard {shard} worker died holding every "
-                            f"transport slot ({dead})"
-                        ) from None
-                if waited >= self._stall_timeout:
-                    self._stall_seconds += waited
-                    raise StreamError(
-                        f"timed out after {self._stall_timeout}s waiting for "
-                        f"shard {shard} to return a transport slot "
-                        "(worker alive but not draining)"
-                    ) from None
+        return local.pop()
 
     def send_records(self, shard: int, records) -> None:
         """Write ``records`` column-wise into free slots and hand them off."""
-        control = self._control[shard]
         for lo in range(0, len(records), self._capacity):
             part = records[lo : lo + self._capacity]
             n = len(part)
             slot = self._acquire_slot(shard)
             records_to_columns(part, out=self._views[shard][slot])
-            control.put(("slot", slot, n))
+            self.send_control(shard, ("slot", slot, n))
+            self._records[shard] += n
             self._handoffs += 1
             self._bytes += 2 * n * _FLOAT_BYTES
 
     def send_control(self, shard: int, message: tuple) -> None:
-        """Control messages share the slot queue, so they are fences."""
-        self._control[shard].put(message)
+        """Control messages share the slot pipe, so they are fences."""
+        try:
+            self._conns[shard].send(message)
+        except OSError:
+            # The worker is gone; an error it sent first says why.
+            self._drain(shard)
+            raise StreamError(f"shard {shard} worker died ({self._describe(shard)})") from None
+
+    def collect(self) -> list[tuple]:
+        """Wait for one reply from every shard; their payloads in shard order."""
+        shards = len(self._conns)
+        replies = self._receive(
+            range(shards), lambda replies: len(replies) == shards, "for a reply"
+        )
+        return [replies[shard][1:] for shard in range(shards)]
+
+    def _drain(self, shard: int) -> None:
+        """Read every reply already waiting on ``shard``'s pipe."""
+        conn = self._conns[shard]
+        while conn.poll():
+            self._read(shard)
+
+    def _read(self, shard: int) -> tuple | None:
+        """One reply off ``shard``'s pipe: recycle a slot, raise an error, or return it."""
+        try:
+            message = self._conns[shard].recv()
+        except (EOFError, OSError):
+            raise StreamError(f"shard {shard} worker died ({self._describe(shard)})") from None
+        tag = message[0]
+        if tag == "free":
+            self._local_free[shard].append(message[1])
+            return None
+        if tag == "error":
+            _, report, ingested = message
+            sent = self._records[shard]
+            if self.on_error is not None:
+                self.on_error(shard, ingested, sent)
+            raise StreamError(
+                f"shard {shard} failed after ingesting {ingested} of {sent} sent records:\n{report}"
+            )
+        return message
+
+    def _receive(
+        self,
+        shards: Sequence[int],
+        done: Callable[[dict[int, tuple]], bool],
+        waiting: str,
+    ) -> dict[int, tuple]:
+        """Read ``shards``' pipes until ``done(replies)``: the one receive loop.
+
+        ``replies`` maps a shard to its latest reply other than ``free``.
+        A worker whose sentinel fires with nothing left in its pipe is
+        dead; the wait as a whole gives up after ``stall_timeout``.
+        """
+        replies: dict[int, tuple] = {}
+        conns = {self._conns[shard]: shard for shard in shards}
+        sentinels = {
+            self._processes[shard].sentinel: shard
+            for shard in shards
+            if shard < len(self._processes)
+        }
+        deadline = time.monotonic() + self._stall_timeout
+        while not done(replies):
+            remaining = deadline - time.monotonic()
+            ready = wait([*conns, *sentinels], remaining) if remaining > 0 else []
+            if not ready:
+                raise StreamError(
+                    f"timed out after {self._stall_timeout}s waiting {waiting} "
+                    f"from shards {list(shards)} (workers alive but not answering)"
+                )
+            for handle in ready:
+                if handle in conns:
+                    shard = conns[handle]
+                    message = self._read(shard)
+                    if message is not None:
+                        replies[shard] = message
+                elif not self._conns[sentinels[handle]].poll():
+                    shard = sentinels[handle]
+                    raise StreamError(
+                        f"shard {shard} worker died while the coordinator waited "
+                        f"{waiting} ({self._describe(shard)})"
+                    )
+        return replies
+
+    def _describe(self, shard: int) -> str:
+        if shard >= len(self._processes):
+            return "no worker process"
+        process = self._processes[shard]
+        return f"{process.name} exitcode={process.exitcode}"
 
     def close(self) -> None:
-        """Tear down queues and unlink every slab (idempotent)."""
+        """Close the pipes and unlink every slab (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for queue in [*self._control, *self._free]:
-            queue.close()
-            queue.cancel_join_thread()
+        for conn in [*self._conns, *self._worker_conns]:
+            conn.close()
+        self._conns = []
+        self._worker_conns = []
+        self._processes = []
         self._views = []
         for row in self._slabs:
             for slab in row:
@@ -274,8 +372,6 @@ class ShmTransport:
                 except FileNotFoundError:  # pragma: no cover - already mopped
                     pass
         self._slabs = []
-        self._control = []
-        self._free = []
 
     def stats(self) -> dict[str, float]:
         """Slots handed off, bytes moved, and the backpressure gauges."""
@@ -290,14 +386,13 @@ class ShmTransport:
 class ShmEndpoint:
     """Worker-side shm handle: attach by name, read views, return slots.
 
-    Picklable for ``spawn``: carries queue handles (inherited through the
-    process spawner), slab *names*, and the slot capacity — never the
-    maps themselves.
+    Picklable for ``spawn``: carries the worker's pipe end (inherited
+    through the process spawner), slab *names*, and the slot capacity —
+    never the maps themselves.
     """
 
-    def __init__(self, control, free, slab_names: list[str], capacity: int) -> None:
-        self._control = control
-        self._free = free
+    def __init__(self, conn, slab_names: list[str], capacity: int) -> None:
+        self._conn = conn
         self._names = slab_names
         self._capacity = capacity
         self._slabs: list[shared_memory.SharedMemory] | None = None
@@ -317,7 +412,7 @@ class ShmEndpoint:
 
     def recv(self) -> tuple[str, object]:
         """Next message: zero-copy ("columns", views) for a slot, or a fence."""
-        message = self._control.get()
+        message = self._conn.recv()
         tag = message[0]
         if tag != "slot":
             return tag, None
@@ -329,8 +424,12 @@ class ShmEndpoint:
     def release(self) -> None:
         """Return the slot read by the last :meth:`recv` to the ring."""
         if self._pending is not None:
-            self._free.put(self._pending)
+            self._conn.send(("free", self._pending))
             self._pending = None
+
+    def reply(self, message: tuple) -> None:
+        """Send a ``summary`` or ``error`` back, behind every ``free`` so far."""
+        self._conn.send(message)
 
     def detach(self) -> None:
         """Unmap the slabs (views first — they hold buffer exports)."""

@@ -14,6 +14,7 @@ through Python floats so downstream state never holds numpy scalars.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -73,12 +74,15 @@ def records_to_columns(
     ``Record`` tuples.  A :class:`ColumnRows` view hands back the
     columns it wraps.
 
-    ``out=`` is the allocation-hoisting fast path: pass a preallocated
-    pair of float64 numpy buffers (each at least ``len(records)`` long)
-    and the columns are written **in place** — the return value is a pair
-    of length-n views into the buffers, so a caller looping over chunks
-    (the sharded coordinator's feed loop, a shared-memory slab) reuses
-    one buffer pair instead of allocating two fresh arrays per chunk.
+    Both paths read the records in one flat walk over their fields
+    (``Record`` is an ``(x, y)`` pair, and so is every plain tuple that
+    stands in for one), staging ``x0, y0, x1, y1, ...`` in a single
+    ``2n`` float64 block; each value converts exactly as ``float()``
+    would.  Without ``out=`` the block is split into two C-contiguous
+    columns.  With ``out=`` — a preallocated pair of float64 buffers,
+    each at least ``len(records)`` long, such as a shared-memory slab —
+    the block is copied into the buffers in place and the return value
+    is a pair of length-n views into them.
     """
     if out is None and isinstance(records, ColumnRows):
         return records.xs, records.ys
@@ -90,17 +94,17 @@ def records_to_columns(
                 f"out= buffers hold {min(len(xs_buf), len(ys_buf))} values "
                 f"but the chunk has {n} records"
             )
-        if n:
-            # One transient (n, 2) staging block instead of two fresh
-            # output columns; NamedTuple records convert on numpy's fast
-            # sequence path.
-            staged = np.asarray(records, dtype=np.float64)
-            np.copyto(xs_buf[:n], staged[:, 0])
-            np.copyto(ys_buf[:n], staged[:, 1])
+        staged = _staged(records, n)
+        np.copyto(xs_buf[:n], staged[0::2])
+        np.copyto(ys_buf[:n], staged[1::2])
         return xs_buf[:n], ys_buf[:n]
-    xs = np.fromiter((r.x for r in records), dtype=np.float64, count=n)
-    ys = np.fromiter((r.y for r in records), dtype=np.float64, count=n)
+    xs, ys = _staged(records, n).reshape(n, 2).T.copy()
     return xs, ys
+
+
+def _staged(records: Sequence[Record], n: int) -> "np.ndarray":
+    """Every record's x and y, interleaved, from one walk over the fields."""
+    return np.fromiter(chain.from_iterable(records), dtype=np.float64, count=2 * n)
 
 
 class ColumnRows:

@@ -1,13 +1,15 @@
 """The shared-memory slot ring: parity, slot recycling, fault paths, cleanup.
 
-Four fault paths are pinned here: a worker SIGKILLed mid-slot must
-surface as a :class:`~repro.exceptions.StreamError` (not a hang), a
-coordinator crash must leave slabs that
-:func:`~repro.parallel.transport.unlink_stale_slabs` can mop up, a
-normal run must be silent under ``-W error`` (no leaked shared-memory
-warnings, no resource-tracker noise), and merged results must be
-bit-identical across ``fork``/``spawn`` and to an in-process merge of
-the same per-shard substreams.
+The fault paths pinned here: a worker SIGKILLed mid-slot must surface as
+a :class:`~repro.exceptions.StreamError` (not a hang); a worker error
+must surface with its traceback wherever the coordinator waits, a slot
+acquire included; a coordinator crash must leave slabs that
+:func:`~repro.parallel.transport.unlink_stale_slabs` can mop up; normal
+and worker-error runs must be silent under ``-W error`` (no leaked
+shared-memory warnings, no resource-tracker noise, no unclosed pipe
+ends); start/close cycles must leak no file descriptors; and merged
+results must be bit-identical across ``fork``/``spawn`` and to an
+in-process merge of the same per-shard substreams.
 """
 
 from __future__ import annotations
@@ -258,6 +260,22 @@ class TestFaultPaths:
             with pytest.raises(StreamError, match=r"after ingesting 300 of"):
                 ingestor.query()
 
+    def test_worker_error_surfaces_while_blocked_on_a_slot(self):
+        # One shard, NaN chunks flushed one after another: the coordinator
+        # is waiting for a free slot, not for a summary, when the worker's
+        # error arrives, and it must still raise that error in full.
+        with ShardedIngestor(MIN_QUERY, shards=1, chunk_size=100) as ingestor:
+            ingestor.ingest(_stream(300))
+            ingestor.flush()
+            with pytest.raises(StreamError) as caught:
+                for _ in range(50):
+                    ingestor.ingest([Record(x=float("nan"), y=1.0)] * 100)
+                    ingestor.flush()
+        message = str(caught.value)
+        assert "shard 0 failed after ingesting 300 of" in message
+        assert "Traceback (most recent call last)" in message
+        assert "non-finite" in message
+
     def test_worker_error_emits_obs_event(self):
         sink = RecordingSink()
         with ShardedIngestor(MIN_QUERY, shards=1, chunk_size=64, sink=sink) as ingestor:
@@ -279,16 +297,18 @@ class TestFaultPaths:
 
 @pytest.mark.skipif(not HAS_DEV_SHM, reason="needs /dev/shm")
 class TestSlabCleanup:
-    def test_normal_run_is_warning_clean_under_W_error(self):
-        """A full shm run must leak no shared memory and print no tracker noise."""
+    def test_runs_are_warning_clean_under_W_error(self):
+        """Normal and worker-error runs leak no shared memory, pipes or tracker noise."""
         script = textwrap.dedent(
             """
             import random
             from repro.core.query import CorrelatedQuery
+            from repro.exceptions import StreamError
             from repro.parallel import ShardedIngestor
             from repro.streams.model import Record
             rng = random.Random(7)
             records = [Record(x=rng.uniform(1.0, 9.0), y=1.0) for _ in range(800)]
+            poison = [Record(x=float("nan"), y=1.0)] * 64
             query = CorrelatedQuery(dependent="count", independent="min", epsilon=0.5)
             for start_method in ("fork", "spawn"):
                 with ShardedIngestor(
@@ -296,6 +316,20 @@ class TestSlabCleanup:
                 ) as ingestor:
                     ingestor.ingest(records)
                     ingestor.query()
+                # A worker that fails mid-chunk must still unmap its slabs.
+                with ShardedIngestor(
+                    query, shards=1, chunk_size=64, start_method=start_method,
+                ) as ingestor:
+                    ingestor.ingest(records[:128])
+                    try:
+                        for _ in range(20):
+                            ingestor.ingest(poison)
+                            ingestor.flush()
+                        ingestor.query()
+                    except StreamError:
+                        pass
+                    else:
+                        raise SystemExit("the poisoned shard did not fail")
             print("OK")
             """
         )
@@ -311,6 +345,27 @@ class TestSlabCleanup:
         assert "OK" in result.stdout
         assert "leaked shared_memory" not in result.stderr
         assert "KeyError" not in result.stderr
+        assert "BufferError" not in result.stderr
+        assert "ResourceWarning" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="Linux only")
+    def test_start_close_cycles_leak_no_file_descriptors(self):
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        def cycle() -> None:
+            with ShardedIngestor(MIN_QUERY, shards=2, chunk_size=64) as ingestor:
+                ingestor.ingest(_stream(300))
+                ingestor.query()
+
+        # The first cycle may start the process-wide resource tracker,
+        # which keeps one pipe open for the interpreter's lifetime.
+        cycle()
+        before = open_fds()
+        for _ in range(20):
+            cycle()
+        assert open_fds() == before
 
     def test_coordinator_crash_leaves_slabs_for_the_stale_mop(self):
         """SIGKILLed coordinator + dead tracker: unlink_stale_slabs mops up."""
