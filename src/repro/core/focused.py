@@ -43,9 +43,10 @@ Two mixins capture the recurring summary shapes:
   tail, fine focus buckets, coarse right tail) used by the AVG estimators
   and the time-sliding estimator, including the shared reallocate-and-
   pour-tails step and the band-mass answer path.
-* :class:`RingWindowMixin` — the count-based sliding window: a ring of
-  ``[record, side]`` cells whose side routes expiry to the account the
-  mass was credited to, plus the expire → retarget → place step.
+* :class:`RingWindowMixin` — the count-based sliding window: a
+  :class:`~repro.structures.column_ring.ColumnRing` of ``(x, y, side)``
+  rows whose side code routes expiry to the account the mass was
+  credited to, plus the expire → retarget → place step.
 
 Every method here is float-for-float identical to the five pre-refactor
 modules; ``tests/core/test_kernel_parity.py`` replays golden fixtures
@@ -73,9 +74,16 @@ from repro.obs.sink import NULL_SINK, ObsSink
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.columns import records_to_columns
 from repro.streams.model import BatchedIngest, Record, ensure_finite
-from repro.structures.ring_buffer import RingBuffer
+from repro.structures.column_ring import ColumnRing
 
 STRATEGIES = ("wholesale", "piecemeal")
+
+#: Side codes: the account :meth:`FocusedEstimatorBase._route_add` credited
+#: a record to, as a sliding window stores it (one byte per row) — the fine
+#: buckets, the extrema catch-all, the left or the right AVG tail.
+INNER, TAIL, LEFT, RIGHT = 0, 1, 2, 3
+#: Event label of each side code (``window.expire`` events carry it).
+SIDE_NAMES = "ITLR"
 
 #: Columnar chunks are sliced to this many records before hitting a family
 #: kernel, bounding the O(chunk) staging arrays (and the O(chunk * m)
@@ -181,11 +189,11 @@ class FocusedEstimatorBase(BatchedIngest):
         """Where the focus region should sit right now."""
         raise NotImplementedError
 
-    def _route_add(self, record: Record) -> str:
-        """Credit one record to the summary; return the side it went to."""
+    def _route_add(self, x: float, y: float) -> int:
+        """Credit one record to the summary; return its side code."""
         raise NotImplementedError
 
-    def _route_remove(self, record: Record, side: str) -> None:
+    def _route_remove(self, x: float, y: float, side: int) -> None:
         """Debit one expiring record from the side it was credited to."""
         raise NotImplementedError
 
@@ -209,7 +217,7 @@ class FocusedEstimatorBase(BatchedIngest):
         """Pre-step bookkeeping (moments, trackers, window push).
 
         Runs during warmup too; whatever it returns is handed to
-        :meth:`_step` as the carrier (e.g. the window cell + evicted pair).
+        :meth:`_step` as the carrier (e.g. the row a window push evicted).
         """
         return None
 
@@ -252,7 +260,7 @@ class FocusedEstimatorBase(BatchedIngest):
         if self._should_reallocate(lo, hi):
             with self._tracer.span("kernel.reallocate", low=lo, high=hi):
                 self._reallocate(lo, hi)
-        self._route_add(record)
+        self._route_add(record.x, record.y)
 
     # ------------------------------------------------------ build/rebuild
 
@@ -292,7 +300,7 @@ class FocusedEstimatorBase(BatchedIngest):
         """Replay the warmup population into the fresh histogram."""
         assert self._buffer is not None
         for record in self._buffer:
-            self._route_add(record)
+            self._route_add(record.x, record.y)
 
     def _rebuild_from_window(self, lo: float, hi: float, reason: str = "regime") -> None:
         """Restart the summary over ``[lo, hi]`` from the live population.
@@ -512,7 +520,7 @@ class FocusedEstimatorBase(BatchedIngest):
         if removals is not None:
             stride = 2
             ops = np.column_stack((removals[0], ops)).ravel()
-            ops_c = np.tile((-1.0, 1.0), len(sx))
+            ops_c = np.full((len(sx), 2), (-1.0, 1.0)).ravel()
             ops_w = np.column_stack((removals[1], ops_w)).ravel()
         counts, weights = inner.mass_columns()
         masses = self._column_coarse
@@ -775,39 +783,35 @@ class TwoTailSummaryMixin:
 
     # -------------------------------------------------------- mass routing
 
-    def _classify(self, x: float) -> str:
+    def _classify(self, x: float) -> int:
         assert self._inner is not None
         if x < self._inner.low:
-            return "L"
+            return LEFT
         if x > self._inner.high:
-            return "R"
-        return "I"
+            return RIGHT
+        return INNER
 
-    def _route_add(self, record: Record) -> str:
+    def _route_add(self, x: float, y: float) -> int:
         assert self._inner is not None
-        side = self._classify(record.x)
-        if side == "L":
-            self._left_tail += Mass(1.0, record.y)
-        elif side == "R":
-            self._right_tail += Mass(1.0, record.y)
+        side = self._classify(x)
+        if side == LEFT:
+            self._left_tail += Mass(1.0, y)
+        elif side == RIGHT:
+            self._right_tail += Mass(1.0, y)
         else:
-            self._inner.add(record.x, record.y)
+            self._inner.add(x, y)
             self._after_add()
         return side
 
-    def _route_remove(self, record: Record, side: str) -> None:
+    def _route_remove(self, x: float, y: float, side: int) -> None:
         """Expire a record from the account its mass was credited to."""
         assert self._inner is not None
-        if side == "L":
-            self._left_tail = Mass(
-                self._left_tail.count - 1.0, self._left_tail.weight - record.y
-            )
-        elif side == "R":
-            self._right_tail = Mass(
-                self._right_tail.count - 1.0, self._right_tail.weight - record.y
-            )
+        if side == LEFT:
+            self._left_tail = Mass(self._left_tail.count - 1.0, self._left_tail.weight - y)
+        elif side == RIGHT:
+            self._right_tail = Mass(self._right_tail.count - 1.0, self._right_tail.weight - y)
         else:
-            self._inner.remove(record.x, record.y)
+            self._inner.remove(x, y)
 
     def _reset_tails(self) -> None:
         self._left_tail = ZERO_MASS
@@ -923,9 +927,9 @@ class TwoTailSummaryMixin:
         span = hi - lo
         if span <= 0.0:
             side = self._classify(lo)
-            if side == "L":
+            if side == LEFT:
                 self._left_tail += mass
-            elif side == "R":
+            elif side == RIGHT:
                 self._right_tail += mass
             else:
                 self._inner.add_mass(self._inner.locate(lo), mass)
@@ -1020,12 +1024,14 @@ class TwoTailSummaryMixin:
 
 
 class RingWindowMixin:
-    """Count-based sliding window over a ring of ``[record, side]`` cells.
+    """Count-based sliding window over a :class:`ColumnRing`.
 
-    Each cell remembers the side its record's mass went to at insertion,
+    Each row keeps the side code its record's mass went to at insertion,
     so expiry decrements the same account it credited.  Routing deletions
     by the *current* region instead would leave misclassified mass
-    stranded in a tail forever (and drive the other tail negative).
+    stranded in a tail forever (and drive the other tail negative).  The
+    scalar step and the columnar kernels share the one ring: both push
+    into it and expire the rows it hands back.
     """
 
     def _init_ring(
@@ -1049,33 +1055,31 @@ class RingWindowMixin:
             raise ConfigurationError(f"rebuild_period must be >= 0, got {rebuild_period}")
         self._window = window
         self._rebuild_period = rebuild_period
-        self._ring: RingBuffer[list] = RingBuffer(window)
+        self._ring = ColumnRing(window)
 
     def _push_trackers(self, record: Record) -> None:
         """Feed the window statistics (moments and/or extrema trackers)."""
         raise NotImplementedError
 
-    def _forget(self, record: Record) -> None:
-        """Retire an evicted record from any removable statistics."""
+    def _forget(self, x: float) -> None:
+        """Retire an evicted value from any removable statistics."""
 
-    def _ingest(self, record: Record) -> tuple[list, list | None]:
+    def _ingest(self, record: Record) -> tuple[float, float, int] | None:
         self._push_trackers(record)
-        cell: list = [record, None]
-        evicted = self._ring.push(cell)
+        evicted = self._ring.push(record.x, record.y)
         if evicted is not None:
             self._forget(evicted[0])
-        return (cell, evicted)
+        return evicted
 
-    def _step(self, record: Record, carrier: tuple[list, list | None]) -> None:
+    def _step(self, record: Record, evicted: tuple[float, float, int] | None) -> None:
         # Expire first (side-routed, so independent of the region), then
         # move the region, then place the new arrival.  A regime-change or
-        # periodic rebuild routes the new arrival itself — the
-        # `cell[1] is None` check avoids adding it twice.
-        cell, evicted = carrier
+        # periodic rebuild routes the new arrival itself (it is in the
+        # ring) and zeroes the step count, so it is not added twice.
         if evicted is not None:
-            self._route_remove(evicted[0], evicted[1])
+            self._route_remove(*evicted)
             if self._obs.enabled:
-                self._obs.emit("window.expire", count=1.0, side=evicted[1])
+                self._obs.emit("window.expire", count=1.0, side=SIDE_NAMES[evicted[2]])
         lo, hi = self._target_interval()
         self._steps_since_rebuild += 1
         if self._rebuild_period and self._steps_since_rebuild >= self._rebuild_period:
@@ -1083,15 +1087,14 @@ class RingWindowMixin:
         elif self._should_reallocate(lo, hi):
             with self._tracer.span("kernel.reallocate", low=lo, high=hi):
                 self._reallocate(lo, hi)
-        if cell[1] is None:
-            cell[1] = self._route_add(record)
+        if self._steps_since_rebuild:
+            self._ring.set_newest_side(self._route_add(record.x, record.y))
 
     def _seed_histogram(self) -> None:
         self._reseed_from_window()  # warm-up is shorter than the window
 
     def _reseed_from_window(self) -> None:
-        for cell in self._ring:
-            cell[1] = self._route_add(cell[0])
+        self._ring.assign_sides(self._route_add)
 
     def _population(self) -> float:
         return float(len(self._ring))

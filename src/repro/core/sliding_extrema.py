@@ -35,7 +35,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core.focused import (
+    INNER,
+    SIDE_NAMES,
     STRATEGIES,
+    TAIL,
     FocusedEstimatorBase,
     RingWindowMixin,
     bucket_index,
@@ -44,7 +47,7 @@ from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.bucket import ZERO_MASS, Mass
 from repro.histograms.mass import pour_uniform
-from repro.histograms.partition import quantile_boundaries_from_values, uniform_boundaries
+from repro.histograms.partition import quantile_boundaries_from_values
 from repro.histograms.reallocate import piecemeal_reallocate, wholesale_reallocate
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
@@ -169,17 +172,9 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         return (min(far, self._inner.low), self._inner.low)
 
     def _quantile_edges(self, lo: float, hi: float) -> list[float]:
-        assert self._buffer is not None
-        return quantile_boundaries_from_values(
-            [r.x for r in self._buffer], self._inner_m, lo, hi
-        )
-
-    def _rebuild_edges(self, lo: float, hi: float) -> list[float]:
-        if self._policy == "uniform":
-            return uniform_boundaries(lo, hi, self._inner_m)
-        return quantile_boundaries_from_values(
-            [cell[0].x for cell in self._ring], self._inner_m, lo, hi
-        )
+        # The live window: at the first build it holds exactly the warmup
+        # records (warmup is shorter than the window).
+        return quantile_boundaries_from_values(self._ring.x_values(), self._inner_m, lo, hi)
 
     # -------------------------------------------------------- steady state
 
@@ -189,22 +184,22 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
             return x <= self._inner.high
         return x >= self._inner.low
 
-    def _route_add(self, record: Record) -> str:
+    def _route_add(self, x: float, y: float) -> int:
         assert self._inner is not None
-        if self._in_focus(record.x):
-            self._inner.add(min(max(record.x, self._inner.low), self._inner.high), record.y)
+        if self._in_focus(x):
+            self._inner.add(min(max(x, self._inner.low), self._inner.high), y)
             self._after_add()
-            return "I"
-        self._tail += Mass(1.0, record.y)
-        return "T"
+            return INNER
+        self._tail += Mass(1.0, y)
+        return TAIL
 
-    def _route_remove(self, record: Record, side: str) -> None:
+    def _route_remove(self, x: float, y: float, side: int) -> None:
         """Expire a record from the account its mass was credited to."""
         assert self._inner is not None
-        if side == "I":
-            self._inner.remove(record.x, record.y)
+        if side == INNER:
+            self._inner.remove(x, y)
         else:
-            self._tail = Mass(self._tail.count - 1.0, self._tail.weight - record.y)
+            self._tail = Mass(self._tail.count - 1.0, self._tail.weight - y)
 
     def _reset_tails(self) -> None:
         self._tail = ZERO_MASS
@@ -236,20 +231,18 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         return collect != "all"
 
     def _column_trace(self, xs, ys, limit: int):
-        """Window trace: both interval trackers and the eviction history.
+        """Window trace: both interval trackers' replays.
 
         One :meth:`IntervalExtremaTracker.replay` per tracker records the
         chunk's interval turnovers, from which the boundary syncs load
         either tracker's exact state; the tracked one also yields the
-        per-record ``extremum()``/``worst_local()`` trace.  Eviction is
-        resolved from a history array (the pre-chunk ring contents
-        followed by the chunk itself): record ``i`` evicts history entry
-        ``s0 + i - w``.  A negative extremum pulls the limit in:
-        ``_target_interval`` raises there.  Entries at or past the first
-        non-finite input diverge from the scalar path (which never pushes
-        such a value); they are never read, because the chunk is cut there.
+        per-record ``extremum()``/``worst_local()`` trace.  The window
+        itself needs no trace: each segment is pushed into the live ring
+        as it is scattered (:meth:`_column_evict`), and each boundary
+        record through the scalar step, so the ring is always current.
+        A negative extremum pulls the limit in: ``_target_interval``
+        raises there.
         """
-        n = len(xs)
         mode_min = self._mode == "min"
         xl = xs.tolist()
         tracked = self._tracked.replay(xl)
@@ -271,47 +264,9 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         neg = ext_a[:limit] < 0.0
         if neg.any():
             limit = int(np.argmax(neg))
-
-        # Eviction history: the live window before the chunk, then the
-        # chunk itself.  Chunk sides are filled segment by segment.
-        pre = [cell for cell in self._ring]
-        s0 = len(pre)
-        hx = np.concatenate(
-            (np.fromiter((c[0].x for c in pre), dtype=np.float64, count=s0), xs)
-        )
-        hy = np.concatenate(
-            (np.fromiter((c[0].y for c in pre), dtype=np.float64, count=s0), ys)
-        )
-        hside = np.empty(s0 + n, dtype=np.int8)
-        hside[:s0] = np.fromiter(
-            ((0 if c[1] == "I" else 1) for c in pre), dtype=np.int8, count=s0
-        )
-
-        def sync_trackers(upto: int) -> None:
-            """Load both live trackers' state after ``upto`` chunk records."""
-            self._tracked.restore(tracked, upto)
-            self._opposite.restore(opposite, upto)
-
-        def sync_ring(upto: int) -> None:
-            """Rebuild the live window as of ``upto`` chunk records from
-            the history arrays."""
-            keep = min(self._window, s0 + upto)
-            start = s0 + upto - keep
-            stop = s0 + upto
-            self._ring.load(
-                [
-                    [Record(x, y), "I" if side == 0 else "T"]
-                    for x, y, side in zip(
-                        hx[start:stop].tolist(),
-                        hy[start:stop].tolist(),
-                        hside[start:stop].tolist(),
-                    )
-                ]
-            )
-
         trace = SimpleNamespace(
-            ext=ext_a, lo=lo_a, hi=hi_a, one_eps=one_eps, s0=s0, hx=hx, hy=hy,
-            hside=hside, sync_trackers=sync_trackers, sync_ring=sync_ring,
+            ext=ext_a, lo=lo_a, hi=hi_a, one_eps=one_eps, xs=xs, ys=ys,
+            tracked=tracked, opposite=opposite,
         )
         return trace, limit
 
@@ -348,84 +303,28 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         (self._tail,) = masses
 
     def _column_evict(self, trace, lo: int, hi: int, fine, edges):
-        # Record the segment's sides for later evictions, advance the
-        # rebuild countdown, and remove each record's evictee from the
-        # account its side names — all before the scatter, which applies
-        # each removal ahead of its record's add, as _step does.
-        s0 = trace.s0
-        hside = trace.hside
-        hside[s0 + lo : s0 + hi] = ~fine
+        # Push the segment into the live ring with its sides, advance the
+        # rebuild countdown, and remove each evicted row from the account
+        # its side names — all before the scatter, which applies each
+        # removal ahead of its record's add, as _step does.
         self._steps_since_rebuild += hi - lo
-        first = max(lo, self._window - s0)
-        if first >= hi:
+        ex, ey, sides = self._ring.push_columns(trace.xs[lo:hi], trace.ys[lo:hi], ~fine)
+        if not len(ex):
             return None
-        evicted = slice(s0 + first - self._window, s0 + hi - self._window)
-        sides = hside[evicted]
-        m = len(edges) - 1
-        index = np.full(hi - lo, -1)
-        weight = np.zeros(hi - lo)
-        index[first - lo :] = np.where(sides == 0, bucket_index(edges, trace.hx[evicted]), m)
-        weight[first - lo :] = -trace.hy[evicted]
+        index = np.where(sides == INNER, bucket_index(edges, ex), len(edges) - 1)
+        weight = -ey
+        first = hi - lo - len(ex)
+        if first:  # records pushed into a filling ring evict nothing
+            index = np.concatenate((np.full(first, -1), index))
+            weight = np.concatenate((np.zeros(first), weight))
         if self._obs.enabled:
             for side in sides.tolist():
-                self._obs.emit("window.expire", count=1.0, side="T" if side else "I")
+                self._obs.emit("window.expire", count=1.0, side=SIDE_NAMES[side])
         return index, weight
 
     def _sync_trace(self, trace, upto: int) -> None:
-        trace.sync_trackers(upto)
-        trace.sync_ring(upto)
-
-    def _column_step(self, trace, t: int, record_at, outputs, collect: str) -> None:
-        """One boundary record through the scalar machinery, ring deferred.
-
-        Replays :meth:`update`'s step for chunk record ``t`` — tracker
-        sync stands in for the pushes, the eviction comes from the
-        history arrays instead of a ring push — calling the real policy
-        hooks (``_target_interval``, ``_should_reallocate``,
-        ``_reallocate``, ``_route_add``) in the scalar order.  The live
-        ring is only materialised when a rebuild is about to scan it
-        (periodic countdown, or a regime jump — predicted with the same
-        near-disjoint expression ``_reallocate`` evaluates); ordinary
-        reallocations never touch it, which keeps trigger-dense streams
-        off the O(w) resync path.
-        """
-        trace.sync_trackers(t + 1)
-        w = self._window
-        s0 = trace.s0
-        hside = trace.hside
-        if s0 + t >= w:
-            h = s0 + t - w
-            side = "I" if hside[h] == 0 else "T"
-            self._route_remove(Record(float(trace.hx[h]), float(trace.hy[h])), side)
-            if self._obs.enabled:
-                self._obs.emit("window.expire", count=1.0, side=side)
-        lo, hi = self._target_interval()
-        self._steps_since_rebuild += 1
-        rebuilt = False
-        if self._rebuild_period and self._steps_since_rebuild >= self._rebuild_period:
-            trace.sync_ring(t + 1)  # the rebuild scans the live window
-            self._rebuild_from_window(lo, hi, reason="periodic")
-            rebuilt = True
-        elif self._should_reallocate(lo, hi):
-            assert self._inner is not None
-            old_lo, old_hi = self._inner.low, self._inner.high
-            overlap = min(hi, old_hi) - max(lo, old_lo)
-            union = max(hi, old_hi) - min(lo, old_lo)
-            if overlap <= 0.25 * union:
-                trace.sync_ring(t + 1)  # the regime rebuild scans the live window
-            with self._tracer.span("kernel.reallocate", low=lo, high=hi):
-                self._reallocate(lo, hi)
-            rebuilt = self._steps_since_rebuild == 0
-        if rebuilt:
-            # The reseed re-routed every live record (including this
-            # one): re-import the sides it assigned.
-            live = len(self._ring)
-            base = s0 + t + 1 - live
-            for off, cell in enumerate(self._ring):
-                hside[base + off] = 0 if cell[1] == "I" else 1
-        else:
-            side = self._route_add(record_at(t))
-            hside[s0 + t] = 0 if side == "I" else 1
+        self._tracked.restore(trace.tracked, upto)
+        self._opposite.restore(trace.opposite, upto)
 
     def _reallocate(self, lo: float, hi: float) -> None:
         assert self._inner is not None

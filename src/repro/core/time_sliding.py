@@ -202,7 +202,7 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
 
     def _reseed_from_window(self) -> None:
         for cell in self._live:
-            cell[2] = self._route_add(cell[1])
+            cell[2] = self._route_add(cell[1].x, cell[1].y)
 
     # --------------------------------------------------------------- steps
 
@@ -215,7 +215,7 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
             if self._query.independent == "avg":
                 self._moments.remove(record.x)
             if self._inner is not None:
-                self._route_remove(record, side)
+                self._route_remove(record.x, record.y, side)
         if (
             removed >= len(self._live)
             and removed > 0
@@ -272,7 +272,7 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         elif self._should_reallocate(lo, hi):
             self._reallocate(lo, hi)
         if cell[2] is None:
-            cell[2] = self._route_add(record)
+            cell[2] = self._route_add(record.x, record.y)
 
     def _extra_gauges(self) -> dict[str, float]:
         gauges = super()._extra_gauges()

@@ -55,8 +55,10 @@ operator mop for that case.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import secrets
+import select
 import time
 from collections.abc import Callable, Sequence
 from multiprocessing import shared_memory
@@ -411,8 +413,22 @@ class ShmEndpoint:
         self._views = [_slab_views(slab, self._capacity) for slab in self._slabs]
 
     def recv(self) -> tuple[str, object]:
-        """Next message: zero-copy ("columns", views) for a slot, or a fence."""
-        message = self._conn.recv()
+        """Next message: zero-copy ("columns", views) for a slot, or a fence.
+
+        A worker waits on its pipe and its parent together and reads the
+        parent's death as a ``"stop"``: a fork-started worker inherits the
+        coordinator's pipe end, so a killed coordinator never closes it.
+        One ``poll`` call watches both (``Connection.poll`` alone costs
+        more than that, through a selector built per call)."""
+        conn = self._conn
+        parent = mp.parent_process()
+        if parent is not None:
+            watch = select.poll()
+            watch.register(conn, select.POLLIN)
+            watch.register(parent.sentinel, select.POLLIN)
+            if conn.fileno() not in {fd for fd, _ in watch.poll()}:
+                return "stop", None
+        message = conn.recv()
         tag = message[0]
         if tag != "slot":
             return tag, None

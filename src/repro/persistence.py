@@ -6,7 +6,10 @@ estimator in this library is a plain Python object whose state is a small
 graph of floats, lists and named tuples, so pickling is a faithful
 serialisation; these helpers add a format header and a version check so a
 checkpoint from an incompatible library version fails loudly instead of
-resuming with silently different semantics.
+resuming with silently different semantics.  The header is read before
+any estimator class is resolved (the estimator is pickled separately,
+inside the header's payload), so a checkpoint naming a class that no
+longer exists is still refused by its format number.
 
 Writes are *atomic*: the blob lands in a temporary file in the target's
 directory, is flushed and fsynced, and only then renamed over the final
@@ -31,6 +34,7 @@ True
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import pickle
 from pathlib import Path
@@ -39,8 +43,10 @@ import repro
 from repro.exceptions import StreamError
 from repro.streams.model import StreamAlgorithm
 
-#: Bumped when estimator internals change incompatibly.
-FORMAT_VERSION = 2
+#: Bumped when estimator internals change incompatibly.  Format 3: a
+#: sliding window is a ``ColumnRing`` of float columns (format 2 pickled a
+#: list of per-record cells), and the estimator is pickled as its own bytes.
+FORMAT_VERSION = 3
 
 _MAGIC = b"repro-checkpoint"
 
@@ -129,15 +135,34 @@ def dumps_estimator(estimator: StreamAlgorithm) -> bytes:
         "magic": _MAGIC,
         "format": FORMAT_VERSION,
         "library": repro.__version__,
-        "estimator": estimator,
+        "estimator": pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL),
     }
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class _Unresolved:
+    """Stands in for every object a header pass meets: the header is read
+    without importing or running anything the blob names."""
+
+    def _ignore(self, *args, **kwargs) -> None:
+        """Accept any construction or state call; keep nothing."""
+
+    __init__ = __setstate__ = __setitem__ = append = extend = _ignore
+
+
+class _HeaderUnpickler(pickle.Unpickler):
+    """Unpickles a checkpoint header; every class or function it names
+    resolves to :class:`_Unresolved`.  Earlier formats pickled the
+    estimator inline, so this is how their format number is read."""
+
+    def find_class(self, module: str, name: str) -> type:
+        return _Unresolved
 
 
 def loads_estimator(blob: bytes) -> StreamAlgorithm:
     """Restore an estimator serialised by :func:`dumps_estimator`."""
     try:
-        payload = pickle.loads(blob)
+        payload = _HeaderUnpickler(io.BytesIO(blob)).load()
     except Exception as exc:  # pickle raises a zoo of types
         raise StreamError(f"not a repro checkpoint: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
@@ -147,11 +172,14 @@ def loads_estimator(blob: bytes) -> StreamAlgorithm:
             f"checkpoint format {payload.get('format')} is not supported "
             f"(this library reads format {FORMAT_VERSION})"
         )
-    if "estimator" not in payload:
+    if not isinstance(payload.get("estimator"), bytes):
         raise StreamError(
             "malformed repro checkpoint: valid header but no 'estimator' payload"
         )
-    return payload["estimator"]
+    try:
+        return pickle.loads(payload["estimator"])
+    except Exception as exc:
+        raise StreamError(f"corrupt repro checkpoint payload: {exc}") from exc
 
 
 def save_estimator(

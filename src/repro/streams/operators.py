@@ -33,9 +33,9 @@ from collections.abc import Callable
 
 from repro.exceptions import ConfigurationError, EmptyScopeError
 from repro.streams.model import Record
+from repro.structures.column_ring import ColumnRing
 from repro.structures.exact_sum import ExactSum
 from repro.structures.monotonic_deque import MonotonicDeque
-from repro.structures.ring_buffer import RingBuffer
 from repro.structures.welford import RunningMoments
 
 KINDS = ("min", "max", "avg", "sum")
@@ -51,7 +51,7 @@ class _RunningFold:
     def add(self, x: float) -> None:
         self._value = self._fold(self._value, x)
 
-    def end(self, window: RingBuffer[Record] | None) -> float:
+    def end(self, window: ColumnRing | None) -> float:
         return self._value
 
 
@@ -60,7 +60,7 @@ class _RunningMean(RunningMoments):
 
     add = RunningMoments.push
 
-    def end(self, window: RingBuffer[Record] | None) -> float:
+    def end(self, window: ColumnRing | None) -> float:
         return self.mean
 
 
@@ -72,7 +72,7 @@ class _WindowExtremum(MonotonicDeque):
     def sub(self, x: float) -> None:
         pass
 
-    def end(self, window: RingBuffer[Record] | None) -> float:
+    def end(self, window: ColumnRing | None) -> float:
         return self.extremum()
 
 
@@ -81,9 +81,9 @@ class _WindowSum(ExactSum):
 
     sub = ExactSum.remove
 
-    def end(self, window: RingBuffer[Record] | None) -> float:
+    def end(self, window: ColumnRing | None) -> float:
         assert window is not None
-        return self.fsum(cell.x for cell in window)
+        return self.fsum(row[0] for row in window)
 
 
 class _WindowMean(_WindowSum):
@@ -94,7 +94,7 @@ class _WindowMean(_WindowSum):
     predicate; ``math.fsum`` is order-independent, so this mean is not.
     """
 
-    def end(self, window: RingBuffer[Record] | None) -> float:
+    def end(self, window: ColumnRing | None) -> float:
         return super().end(window) / len(window)  # type: ignore[arg-type]
 
 
@@ -121,7 +121,7 @@ class ScopeAggregate:
             raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")
         self._kind = kind
         self._size = 0
-        self._ring: RingBuffer[Record] | None = None
+        self._ring: ColumnRing | None = None
         if window is None:
             if kind == "avg":
                 self._agg = _RunningMean()
@@ -131,7 +131,7 @@ class ScopeAggregate:
                 start = math.inf if kind == "min" else -math.inf
                 self._agg = _RunningFold(min if kind == "min" else max, start)
         else:
-            self._ring = RingBuffer(window)
+            self._ring = ColumnRing(window)
             if kind == "avg":
                 self._agg = _WindowMean()
             elif kind == "sum":
@@ -140,9 +140,11 @@ class ScopeAggregate:
                 self._agg = _WindowExtremum(window, mode=kind)
 
     @property
-    def window(self) -> RingBuffer[Record] | None:
+    def window(self) -> list[Record] | None:
         """The live records of a sliding scope, oldest first; ``None`` if landmark."""
-        return self._ring
+        if self._ring is None:
+            return None
+        return [Record(x, y) for x, y, _ in self._ring]
 
     def __len__(self) -> int:
         """Number of records in the scope."""
@@ -155,12 +157,12 @@ class ScopeAggregate:
         if ring is None:
             self._size += 1
             return None
-        evicted = ring.push(record)
+        evicted = ring.push(record.x, record.y)
         if evicted is None:
             self._size += 1
-        else:
-            self._agg.sub(evicted.x)
-        return evicted
+            return None
+        self._agg.sub(evicted[0])
+        return Record(evicted[0], evicted[1])
 
     def value(self) -> float:
         """The exact aggregate over the current scope."""

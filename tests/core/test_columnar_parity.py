@@ -6,10 +6,11 @@ per-record outputs under ``collect="all"``, same final estimate and
 internal state under ``collect="last"``/``"none"``, same exception (with
 the same partial state) when a chunk holds a record the scalar path
 would reject.  These tests pin that equivalence for all five estimator
-families across batch sizes 1, 7 and 4096, through mid-batch
-reallocations, non-finite records and traced runs — and, for the
-landmark kernels, under the quantile policy, whose merge/split swaps run
-as boundary records.
+families across batch sizes 1, 7 and 4096 and at the window size and
+either side of it (a chunk longer than the window evicts its own first
+rows), through mid-batch reallocations, non-finite records and traced
+runs — and, for the landmark kernels, under the quantile policy, whose
+merge/split swaps run as boundary records.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from repro.streams.model import Record
 
 SIZE = 1200
 WINDOW = 100
-BATCH_SIZES = (1, 7, 4096)
+#: Window-straddling sizes pin the chunks that evict their own first rows.
+BATCH_SIZES = (1, 7, WINDOW - 1, WINDOW, WINDOW + 1, 4096)
 
 FAMILY_QUERIES = {
     "landmark_extrema": CorrelatedQuery("count", "min", epsilon=99.0),
@@ -103,7 +105,7 @@ def _state_fingerprint(estimator) -> dict:
             )
     ring = getattr(estimator, "_ring", None)
     if ring is not None:
-        state["ring"] = [(cell[0], cell[1]) for cell in ring]
+        state["ring"] = list(ring)
     state["ssr"] = getattr(estimator, "_steps_since_rebuild", None)
     state["adds_since_swap"] = getattr(estimator, "_adds_since_swap", None)
     return state
@@ -391,7 +393,7 @@ def test_time_sliding_timed_collect_modes(stream):
 # the sliding window too, where that record also evicts.
 
 QUANTILE_METHODS = ("wholesale-quantile", "piecemeal-quantile")
-QUANTILE_BATCH_SIZES = (1, 7, 32, 4096)
+QUANTILE_BATCH_SIZES = (1, 7, 32, WINDOW - 1, WINDOW, WINDOW + 1, 4096)
 QUANTILE_FAMILIES = ("landmark_extrema", "landmark_avg", "sliding_extrema")
 
 

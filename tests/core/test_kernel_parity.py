@@ -165,13 +165,14 @@ def test_update_many_ingests_the_callers_records(stream):
     warming.update_many(records, collect="none")
     assert warming._buffer is not None and len(warming._buffer) == len(records)
     assert all(a is b for a, b in zip(warming._buffer, records))
-    # Steady scalar steps too: a sliding window keeps the records it saw.
+    # Steady scalar steps too: a sliding window keeps the values of the
+    # records it saw (its ring stores columns, not Record objects).
     window = CorrelatedQuery("count", "avg", window=50)
     steady = build_estimator(window, "piecemeal-uniform", num_buckets=10)
     records = stream[:200]
     steady.update_many(records)
     assert len(steady._ring) == 50
-    assert all(cell[0] is r for cell, r in zip(steady._ring, records[-50:]))
+    assert [row[:2] for row in steady._ring] == [tuple(r) for r in records[-50:]]
 
 
 def test_batched_time_sliding(stream):

@@ -4,7 +4,8 @@ The fault paths pinned here: a worker SIGKILLed mid-slot must surface as
 a :class:`~repro.exceptions.StreamError` (not a hang); a worker error
 must surface with its traceback wherever the coordinator waits, a slot
 acquire included; a coordinator crash must leave slabs that
-:func:`~repro.parallel.transport.unlink_stale_slabs` can mop up; normal
+:func:`~repro.parallel.transport.unlink_stale_slabs` can mop up, and no
+worker running; normal
 and worker-error runs must be silent under ``-W error`` (no leaked
 shared-memory warnings, no resource-tracker noise, no unclosed pipe
 ends); start/close cycles must leak no file descriptors; and merged
@@ -22,6 +23,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -405,6 +407,62 @@ class TestSlabCleanup:
         assert set(names) <= set(removed)
         for name in names:
             assert not (Path("/dev/shm") / name).exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="Linux only")
+    def test_sigkilled_coordinator_leaves_no_workers(self, tmp_path):
+        """Workers of a SIGKILLed coordinator exit instead of blocking forever."""
+        script = textwrap.dedent(
+            """
+            import os, random, signal, sys
+            from repro.core.query import CorrelatedQuery
+            from repro.parallel import ShardedIngestor
+            from repro.streams.model import Record
+            rng = random.Random(5)
+            records = [Record(x=rng.uniform(1.0, 9.0), y=1.0) for _ in range(400)]
+            query = CorrelatedQuery(dependent="count", independent="min", epsilon=0.5)
+            ingestor = ShardedIngestor(query, shards=2, chunk_size=64, start_method="fork")
+            ingestor.ingest(records)
+            ingestor.query()
+            print(*(process.pid for process in ingestor._processes))
+            sys.stdout.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+            """
+        )
+
+        def alive(pid: int) -> bool:
+            # A reparented worker that exited may linger as a zombie
+            # until its new parent reaps it: that counts as gone.
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        # Output goes to files, not pipes: the workers inherit the
+        # coordinator's stdout, and a pipe would stay open while they live.
+        out = tmp_path / "stdout"
+        err = tmp_path / "stderr"
+        env = dict(os.environ, PYTHONPATH=self._src_path())
+        with out.open("w") as stdout, err.open("w") as stderr:
+            returncode = subprocess.run(
+                [sys.executable, "-c", script],
+                stdout=stdout,
+                stderr=stderr,
+                timeout=60,
+                env=env,
+            ).returncode
+        pids = [int(pid) for pid in out.read_text().split()]
+        try:
+            assert returncode == -signal.SIGKILL, err.read_text()
+            assert len(pids) == 2
+            deadline = time.monotonic() + 5.0
+            while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(alive(pid) for pid in pids)
+        finally:
+            for pid in pids:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     @staticmethod
     def _src_path() -> str:

@@ -8,6 +8,8 @@ type, including the sliding ones (whose state includes the live window).
 from __future__ import annotations
 
 import pickle
+import sys
+import types
 
 import pytest
 
@@ -103,12 +105,48 @@ class TestHeaderValidation:
 
     def test_format_1_rejected(self):
         # Format 1 pickled the exact oracle's and the baselines' private
-        # scope state; format 2 holds one ScopeAggregate instead.
+        # scope state; later formats hold one ScopeAggregate instead.
         oracle = build_estimator(QUERIES["sw-min"], "exact", universe=[1.0])
         payload = pickle.loads(dumps_estimator(oracle))
         payload["format"] = 1
         with pytest.raises(StreamError, match="checkpoint format 1 is not supported"):
             loads_estimator(pickle.dumps(payload))
+
+    def test_format_2_sliding_checkpoint_refused_by_its_format(self, monkeypatch):
+        # Format 2 pickled the estimator inline, and a sliding window as a
+        # RingBuffer of [Record, side] cells; that class is gone.  The
+        # header is still read, so the refusal names the format instead
+        # of failing on the missing class.
+        legacy = types.ModuleType("repro.structures.ring_buffer")
+
+        class RingBuffer:
+            def __init__(self, cells):
+                self._items = cells
+                self._start = 0
+                self._size = len(cells)
+
+        RingBuffer.__module__ = legacy.__name__
+        RingBuffer.__qualname__ = "RingBuffer"
+        legacy.RingBuffer = RingBuffer
+        monkeypatch.setitem(sys.modules, legacy.__name__, legacy)
+        estimator = build_estimator(QUERIES["sw-min"], "piecemeal-uniform")
+        records = make_records([float(x) for x in range(100, 40, -1)])
+        for r in records:
+            estimator.update(r)
+        estimator._ring = RingBuffer([[r, "I"] for r in records[-40:]])
+        blob = pickle.dumps(
+            {
+                "magic": b"repro-checkpoint",
+                "format": 2,
+                "library": "0",
+                "estimator": estimator,
+            }
+        )
+        monkeypatch.delitem(sys.modules, legacy.__name__)
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(blob)
+        with pytest.raises(StreamError, match="checkpoint format 2 is not supported"):
+            loads_estimator(blob)
 
     def test_missing_estimator_payload_rejected(self):
         # Regression: a blob with a valid header but no 'estimator' key used

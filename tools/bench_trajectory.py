@@ -36,7 +36,9 @@ def _headline(report: dict) -> dict[str, object]:
             "speedup": report.get("speedup"),
             "speedup_batch_all": report.get("speedup_batch_all"),
             "tuples_per_second": report.get("tuples_per_second"),
-            "meets_10x": report.get("meets_10x"),
+            "speedup_chunked_32": report.get("speedup_chunked_32"),
+            "chunked_32_over_columnar": report.get("chunked_32_over_columnar"),
+            "acceptance_ok": report.get("acceptance", {}).get("ok"),
             "cpu_count": report.get("machine", {}).get("cpu_count"),
         }
         if "other_methods" in report:
