@@ -492,9 +492,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             time_window=args.time_window, sink=sink,
         )
         times = [float(i) for i in range(1, len(records) + 1)]
-        outputs = estimator.update_columns(
-            [r.x for r in records], [r.y for r in records], times=times
-        )
+        xs = [r.x for r in records]
+        ys = [r.y for r in records]
+        step = args.batch_size or max(len(records), 1)
+        outputs = []
+        for lo in range(0, len(records), step):
+            outputs += estimator.update_columns(
+                xs[lo : lo + step], ys[lo : lo + step], times=times[lo : lo + step]
+            )
         exact = exact_time_series(list(zip(times, records)), query, args.time_window)
     else:
         server, attach = _serve_context(args)

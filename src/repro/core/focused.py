@@ -18,10 +18,13 @@ strategy, and partitioning policy — but they all run the same lifecycle:
          └──> _step(record, carrier)
                  _target_interval()              # where should the focus be?
                  _should_reallocate(lo, hi)?     # is the drift material?
-                    └─ _reallocate(lo, hi)       # move the buckets
-                         emit region.shift
-                         regime break? _rebuild_from_window()
-                         else wholesale/piecemeal + tail exchange
+                    └─ _reallocate(lo, hi)       # the one reallocation step
+                         _focus_region() -> _regime_break()?
+                         emit region.shift (drift from _drift())
+                         span kernel.reallocate:
+                           regime break? _restart()   # rebuild, re-init, or decline
+                           else wholesale (_wholesale_partition) / piecemeal
+                           _spill(new buckets, spill) # tails, catch-all, or discard
                  _route_add(record)              # tails vs. fine buckets
       return estimate()
 
@@ -33,16 +36,17 @@ columnar segment loop (trace → cut → scatter → boundary step,
 :meth:`FocusedEstimatorBase._steady_columns`) — while
 the five estimator subclasses override only the small policy hooks where
 they genuinely differ (``_target_interval``, ``_route_add``/``_route_remove``,
-``_should_reallocate``, partitioning sources, and the ``_column_*`` trace
-producer and routing rules of a columnar kernel).  Adding a new scope or
+``_should_reallocate``, partitioning sources, the regime test, restart
+and spill of a reallocation, and the ``_column_*`` trace producer and
+routing rules of a columnar kernel).  Adding a new scope or
 threshold policy is one subclass, not a sixth parallel module.
 
 Two mixins capture the recurring summary shapes:
 
 * :class:`TwoTailSummaryMixin` — the three-region summary (coarse left
   tail, fine focus buckets, coarse right tail) used by the AVG estimators
-  and the time-sliding estimator, including the shared reallocate-and-
-  pour-tails step and the band-mass answer path.
+  and the time-sliding estimator, including the two-tail spill hook
+  and the band-mass answer path.
 * :class:`RingWindowMixin` — the count-based sliding window: a
   :class:`~repro.structures.column_ring.ColumnRing` of ``(x, y, side)``
   rows whose side code routes expiry to the account the mass was
@@ -102,6 +106,15 @@ def bucket_index(edges, values):
     clamped = np.minimum(np.maximum(values, edges[0]), edges[-1])
     idx = edges.searchsorted(clamped, side="right") - 1
     return np.minimum(idx, len(edges) - 2, out=idx)
+
+
+def pull_share(tail: Mass, inner: BucketArray, lo: float, hi: float, span: float) -> Mass:
+    """The focus grew over ``[lo, hi]`` into a tail spanning ``span``: pour
+    the tail's pro-rata share uniformly into ``inner``; return the rest."""
+    fraction = 1.0 if span <= 0.0 else min((hi - lo) / span, 1.0)
+    share = tail.scaled(fraction)
+    pour_uniform(inner, lo, hi, share)
+    return tail - share
 
 
 class FocusedEstimatorBase(BatchedIngest):
@@ -258,8 +271,7 @@ class FocusedEstimatorBase(BatchedIngest):
         """One steady-state step: retarget, maybe move buckets, place."""
         lo, hi = self._target_interval()
         if self._should_reallocate(lo, hi):
-            with self._tracer.span("kernel.reallocate", low=lo, high=hi):
-                self._reallocate(lo, hi)
+            self._reallocate(lo, hi)
         self._route_add(record.x, record.y)
 
     # ------------------------------------------------------ build/rebuild
@@ -333,8 +345,90 @@ class FocusedEstimatorBase(BatchedIngest):
         """Re-route every live tuple into the freshly partitioned summary."""
         raise NotImplementedError
 
+    # -------------------------------------------------------- reallocation
+
     def _reallocate(self, lo: float, hi: float) -> None:
-        raise NotImplementedError
+        """Move the focus buckets onto ``[lo, hi]`` (paper Figure 3).
+
+        The one reallocation step of every family: test for a regime
+        break, restart if the family can, else reallocate wholesale or
+        piecemeal and hand the spilled mass to the family's accounts.
+        """
+        old_lo, old_hi = self._focus_region()
+        regime = self._regime_break(lo, hi, old_lo, old_hi)
+        if self._obs.enabled:
+            self._obs.emit(
+                "region.shift",
+                drift=self._drift(lo, hi, old_lo, old_hi),
+                low=lo,
+                high=hi,
+                disjoint=float(regime),
+            )
+        with self._tracer.span("kernel.reallocate", low=lo, high=hi):
+            if regime and self._restart(lo, hi):
+                return
+            assert self._inner is not None
+            if self._strategy == "wholesale" or regime:
+                # A regime break the family cannot restart from takes the
+                # wholesale path: redistribution handles non-overlapping
+                # ranges (all old mass spills), piecemeal truncation cannot.
+                policy, explicit = self._wholesale_partition(lo, hi)
+                new_inner, spill_low, spill_high = wholesale_reallocate(
+                    self._inner, lo, hi, self._inner_m, policy, edges=explicit, sink=self._obs
+                )
+            else:
+                new_inner, spill_low, spill_high = piecemeal_reallocate(
+                    self._inner, lo, hi, self._inner_m, self._policy, sink=self._obs
+                )
+            self._spill(new_inner, spill_low, spill_high, (lo, hi), (old_lo, old_hi))
+            self._inner = new_inner
+
+    def _focus_region(self) -> tuple[float, float]:
+        """The region a reallocation moves away from."""
+        assert self._inner is not None
+        return (self._inner.low, self._inner.high)
+
+    def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:
+        """Did the focus jump past its old position (or explode in width)?
+
+        Default: near-disjoint — overlap at most a quarter of the union.
+        """
+        overlap = min(hi, old_hi) - max(lo, old_lo)
+        union = max(hi, old_hi) - min(lo, old_lo)
+        return overlap <= 0.25 * union
+
+    def _drift(self, lo: float, hi: float, old_lo: float, old_hi: float) -> float:
+        """``region.shift`` drift: how far the focus boundaries moved in total."""
+        return abs(lo - old_lo) + abs(hi - old_hi)
+
+    def _restart(self, lo: float, hi: float) -> bool:
+        """Regime break: restart the summary over ``[lo, hi]``, or return
+        False to decline and take the wholesale path.
+
+        Default: the sliding analogue of the paper's InitializeHistogram —
+        rebuild from the live window, since incremental spill arithmetic
+        would strand correctly classified mass on the wrong side.
+        """
+        self._rebuild_from_window(lo, hi, reason="regime")
+        return True
+
+    def _wholesale_partition(self, lo: float, hi: float) -> tuple[str, list[float] | None]:
+        """(policy, explicit edges) handed to wholesale_reallocate."""
+        return (self._policy, None)
+
+    def _spill(
+        self,
+        new_inner: BucketArray,
+        spill_low: Mass,
+        spill_high: Mass,
+        region: tuple[float, float],
+        old_region: tuple[float, float],
+    ) -> None:
+        """Credit the mass reallocation moved out of the focus region.
+
+        Default: discard it (landmark extrema — by monotonicity it can
+        never qualify again).
+        """
 
     # ------------------------------------------------- quantile maintenance
 
@@ -758,8 +852,9 @@ class TwoTailSummaryMixin:
     (and the time-sliding estimator): two of the ``m`` buckets are scalar
     tail masses with exact span endpoints, and mass crossing the focus
     boundary is exchanged with them pro-rata under the same uniformity
-    assumption used everywhere else.  Provides routing, the shared
-    reallocate-and-pour-tails step, and the band-mass answer path.
+    assumption used everywhere else.  Provides routing, the spill hook
+    that pours reallocation spill into the tails, and the band-mass
+    answer path.
 
     Hosts must provide ``_span()`` (the tail spans' outer endpoints) and
     ``_independent_value()``.
@@ -768,10 +863,6 @@ class TwoTailSummaryMixin:
     _reserved = 2
     _min_buckets = 4
     _min_buckets_hint = " (2 tails + >= 2 focus)"
-    #: Whether a regime break restarts the summary from the live window
-    #: (sliding scopes) or falls back to wholesale redistribution
-    #: (landmark scope, where no replayable window exists).
-    _rebuild_on_regime = True
 
     def _init_two_tails(self) -> None:
         self._left_tail = ZERO_MASS
@@ -819,88 +910,24 @@ class TwoTailSummaryMixin:
 
     # -------------------------------------------------------- reallocation
 
-    def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:
-        """Did the focus jump past its old position (or explode in width)?
-
-        Default: near-disjoint — overlap at most a quarter of the union.
-        Landmark AVG overrides with true disjointness (the mean cannot
-        jump without the data moving it).
-        """
-        overlap = min(hi, old_hi) - max(lo, old_lo)
-        union = max(hi, old_hi) - min(lo, old_lo)
-        return overlap <= 0.25 * union
-
     def _wholesale_partition(self, lo: float, hi: float) -> tuple[str, list[float] | None]:
-        """(policy, explicit edges) handed to wholesale_reallocate.
-
-        The AVG estimators partition by the fitted normal (the paper's
-        strategy 2), so under the quantile policy they pass explicit
-        edges and tell wholesale to treat them as given.
-        """
+        # The AVG estimators partition by the fitted normal (the paper's
+        # strategy 2): under the quantile policy they pass explicit edges
+        # and tell wholesale to treat them as given.
         explicit = self._partition(lo, hi) if self._policy == "quantile" else None
         return ("uniform", explicit)
 
-    def _reallocate(self, lo: float, hi: float) -> None:
-        assert self._inner is not None
-        old_lo, old_hi = self._inner.low, self._inner.high
-
-        disjoint = self._regime_break(lo, hi, old_lo, old_hi)
-        if self._obs.enabled:
-            # Threshold drift: how far the focus boundaries moved in total.
-            self._obs.emit(
-                "region.shift",
-                drift=abs(lo - old_lo) + abs(hi - old_hi),
-                low=lo,
-                high=hi,
-                disjoint=float(disjoint),
-            )
-        if disjoint and self._rebuild_on_regime:
-            # Regime change: the sliding analogue of the paper's
-            # InitializeHistogram — restart the summary over the new
-            # region from the live window.  Incremental tail arithmetic
-            # would strand previously correctly-classified mass on what
-            # is now the wrong side.
-            self._rebuild_from_window(lo, hi, reason="regime")
-            return
-
+    def _spill(self, new_inner, spill_low: Mass, spill_high: Mass, region, old_region) -> None:
+        # Spill joins the tail on its side; where the focus grew into a
+        # tail, the tail's pro-rata share moves inside.
+        (lo, hi), (old_lo, old_hi) = region, old_region
         xmin, xmax = self._span()
-        if self._strategy == "wholesale" or disjoint:
-            # A disjoint jump without a replayable window takes the
-            # wholesale path regardless of strategy: wholesale
-            # redistribution handles non-overlapping ranges naturally —
-            # all old mass spills to the tails — where piecemeal
-            # truncation cannot.
-            policy, explicit = self._wholesale_partition(lo, hi)
-            new_inner, spill_low, spill_high = wholesale_reallocate(
-                self._inner, lo, hi, self._inner_m, policy, edges=explicit, sink=self._obs
-            )
-        else:
-            new_inner, spill_low, spill_high = piecemeal_reallocate(
-                self._inner, lo, hi, self._inner_m, self._policy, sink=self._obs
-            )
-
         self._left_tail += spill_low
         self._right_tail += spill_high
-
-        # Focus grew into a tail: pull the tail's pro-rata share inside.
-        if lo < old_lo:
-            span = old_lo - xmin  # left tail covers [xmin, old_lo]
-            fraction = 1.0 if span <= 0.0 else min((old_lo - lo) / span, 1.0)
-            share = self._left_tail.scaled(fraction)
-            self._left_tail = Mass(
-                self._left_tail.count - share.count, self._left_tail.weight - share.weight
-            )
-            pour_uniform(new_inner, lo, old_lo, share)
-        if hi > old_hi:
-            span = xmax - old_hi  # right tail covers [old_hi, xmax]
-            fraction = 1.0 if span <= 0.0 else min((hi - old_hi) / span, 1.0)
-            share = self._right_tail.scaled(fraction)
-            self._right_tail = Mass(
-                self._right_tail.count - share.count, self._right_tail.weight - share.weight
-            )
-            pour_uniform(new_inner, old_hi, hi, share)
-
-        self._inner = new_inner
+        if lo < old_lo:  # left tail covers [xmin, old_lo]
+            self._left_tail = pull_share(self._left_tail, new_inner, lo, old_lo, old_lo - xmin)
+        if hi > old_hi:  # right tail covers [old_hi, xmax]
+            self._right_tail = pull_share(self._right_tail, new_inner, old_hi, hi, xmax - old_hi)
 
     # ------------------------------------------------------------ merging
 
@@ -1085,8 +1112,7 @@ class RingWindowMixin:
         if self._rebuild_period and self._steps_since_rebuild >= self._rebuild_period:
             self._rebuild_from_window(lo, hi, reason="periodic")
         elif self._should_reallocate(lo, hi):
-            with self._tracer.span("kernel.reallocate", low=lo, high=hi):
-                self._reallocate(lo, hi)
+            self._reallocate(lo, hi)
         if self._steps_since_rebuild:
             self._ring.set_newest_side(self._route_add(record.x, record.y))
 

@@ -84,10 +84,6 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         ``hist.swap``).
     """
 
-    # The landmark scope keeps no replayable window, so a disjoint focus
-    # jump redistributes wholesale rather than rebuilding from scratch.
-    _rebuild_on_regime = False
-
     def __init__(
         self,
         query: CorrelatedQuery,
@@ -211,6 +207,10 @@ class LandmarkAvgEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         # disjointness (possible with very narrow focus intervals) forces
         # the wholesale path.
         return hi <= old_lo or lo >= old_hi
+
+    def _restart(self, lo: float, hi: float) -> bool:
+        # No replayable window: a disjoint jump redistributes wholesale.
+        return False
 
     def _merge_steady(self, other: "LandmarkAvgEstimator") -> None:
         """Fold another landmark-AVG summary into this one.

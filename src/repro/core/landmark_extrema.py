@@ -46,7 +46,6 @@ from repro.histograms.partition import (
     quantile_boundaries_from_values,
     uniform_boundaries,
 )
-from repro.histograms.reallocate import piecemeal_reallocate, wholesale_reallocate
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
 from repro.streams.model import Record
@@ -176,56 +175,37 @@ class LandmarkExtremaEstimator(FocusedEstimatorBase):
 
     # -------------------------------------------------------- steady state
 
-    def _reinitialize(self, new_region: tuple[float, float]) -> None:
-        """condition_1: restart the histogram empty over the new region."""
-        low, high = new_region
-        self._inner = BucketArray(uniform_boundaries(low, high, self._m))
-        if self._obs.enabled:
-            self._obs.emit("hist.reinit", low=low, high=high)
-
-    def _reallocate(self, new_region: tuple[float, float]) -> None:
-        """condition_2: move the buckets; far-side spill is discarded."""
-        assert self._inner is not None
-        low, high = new_region
-        if self._strategy == "wholesale":
-            self._inner, _, _ = wholesale_reallocate(
-                self._inner, low, high, self._m, self._policy, sink=self._obs
-            )
-        else:
-            self._inner, _, _ = piecemeal_reallocate(
-                self._inner, low, high, self._m, self._policy, sink=self._obs
-            )
-
     def _shift_region(self, x: float) -> None:
-        assert self._region is not None
-        old_low, old_high = self._region
-        new_region = self._region_for(x)
-        new_low, new_high = new_region
-        if self._query.independent == "min":
-            disjoint = new_high <= old_low
-        else:
-            disjoint = new_low >= old_high
-        if self._obs.enabled:
-            # Threshold drift: how far the region's active edge moved.
-            drift = (
-                old_low - new_low
-                if self._query.independent == "min"
-                else new_high - old_high
-            )
-            self._obs.emit(
-                "region.shift",
-                drift=drift,
-                low=new_low,
-                high=new_high,
-                disjoint=float(disjoint),
-            )
-        with self._tracer.span("kernel.reallocate", low=new_low, high=new_high):
-            if disjoint:
-                self._reinitialize(new_region)
-            else:
-                self._reallocate(new_region)
+        """A new extremum moves the region: the kernel's reallocation step."""
+        region = self._region_for(x)
+        self._reallocate(*region)
         self._extremum = x
-        self._region = new_region
+        self._region = region
+
+    def _focus_region(self) -> tuple[float, float]:
+        # The region itself: after a truncation the histogram edges can
+        # differ from it by a float.
+        assert self._region is not None
+        return self._region
+
+    def _regime_break(self, lo: float, hi: float, old_lo: float, old_hi: float) -> bool:
+        # condition_1: the new region is disjoint on the active side.
+        if self._query.independent == "min":
+            return hi <= old_lo
+        return lo >= old_hi
+
+    def _drift(self, lo: float, hi: float, old_lo: float, old_hi: float) -> float:
+        # Threshold drift: how far the region's active edge moved.
+        return old_lo - lo if self._query.independent == "min" else hi - old_hi
+
+    def _restart(self, lo: float, hi: float) -> bool:
+        # InitializeHistogram: restart empty over the new region; no
+        # retained tuple can qualify again.  condition_2's far-side spill
+        # is discarded by the kernel's default spill hook.
+        self._inner = BucketArray(uniform_boundaries(lo, hi, self._m))
+        if self._obs.enabled:
+            self._obs.emit("hist.reinit", low=lo, high=hi)
+        return True
 
     def _step(self, record: Record, carrier: object) -> None:
         assert self._region is not None and self._inner is not None

@@ -22,10 +22,11 @@ the expired value, which is the accepted approximation when boundaries have
 moved since insertion.
 
 The window plumbing (side-routed expiry, periodic rebuilds, reseeding)
-comes from :class:`~repro.core.focused.RingWindowMixin`; unlike the AVG
-estimators this class keeps a *single* catch-all tail, so it carries its
-own routing, reallocation (with the clamp-back spill conservation), and
-``estimate_leq``/``estimate_geq`` answer path.
+comes from :class:`~repro.core.focused.RingWindowMixin` and the
+reallocation step from the kernel; unlike the AVG estimators this class
+keeps a *single* catch-all tail, so it carries its own routing, spill
+hook (with the clamp-back conservation), and ``estimate_leq``/
+``estimate_geq`` answer path.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from repro.core.focused import (
     FocusedEstimatorBase,
     RingWindowMixin,
     bucket_index,
+    pull_share,
 )
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.bucket import ZERO_MASS, Mass
-from repro.histograms.mass import pour_uniform
 from repro.histograms.partition import quantile_boundaries_from_values
-from repro.histograms.reallocate import piecemeal_reallocate, wholesale_reallocate
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
 from repro.streams.model import Record
@@ -162,14 +162,6 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         if hi <= lo:
             hi = lo + max(abs(lo) * 1e-9, 1e-12)
         return (lo, hi)
-
-    def _tail_bounds(self) -> tuple[float, float]:
-        """Span of the catch-all region (from the focus edge to the far extremum)."""
-        assert self._inner is not None
-        far = self._opposite.extremum()
-        if self._mode == "min":
-            return (self._inner.high, max(far, self._inner.high))
-        return (min(far, self._inner.low), self._inner.low)
 
     def _quantile_edges(self, lo: float, hi: float) -> list[float]:
         # The live window: at the first build it holds exactly the warmup
@@ -326,72 +318,33 @@ class SlidingExtremaEstimator(RingWindowMixin, FocusedEstimatorBase):
         self._tracked.restore(trace.tracked, upto)
         self._opposite.restore(trace.opposite, upto)
 
-    def _reallocate(self, lo: float, hi: float) -> None:
-        assert self._inner is not None
-        old_lo, old_hi = self._inner.low, self._inner.high
-        tail_lo, tail_hi = self._tail_bounds()
+    def _drift(self, lo: float, hi: float, old_lo: float, old_hi: float) -> float:
+        # Threshold drift: movement of the region's active edge.
+        return abs(lo - old_lo) if self._mode == "min" else abs(hi - old_hi)
 
-        overlap = min(hi, old_hi) - max(lo, old_lo)
-        union = max(hi, old_hi) - min(lo, old_lo)
-        near_disjoint = overlap <= 0.25 * union
-        if self._obs.enabled:
-            # Threshold drift: movement of the region's active edge.
-            drift = abs(lo - old_lo) if self._mode == "min" else abs(hi - old_hi)
-            self._obs.emit(
-                "region.shift",
-                drift=drift,
-                low=lo,
-                high=hi,
-                disjoint=float(near_disjoint),
-            )
-        if near_disjoint:
-            # Disjoint or near-disjoint jump (a deep new extremum, or the
-            # old one expired wholesale): the sliding analogue of the
-            # paper's condition_1 — restart the summary over the new region
-            # from the live window.
-            self._rebuild_from_window(lo, hi, reason="regime")
-            return
-
-        if self._strategy == "wholesale":
-            new_inner, spill_low, spill_high = wholesale_reallocate(
-                self._inner, lo, hi, self._inner_m, self._policy, sink=self._obs
-            )
-        else:
-            new_inner, spill_low, spill_high = piecemeal_reallocate(
-                self._inner, lo, hi, self._inner_m, self._policy, sink=self._obs
-            )
-
+    def _spill(self, new_inner, spill_low: Mass, spill_high: Mass, region, old_region) -> None:
+        # Spill beyond the far edge joins the catch-all.  Spill past the
+        # (rising) extremum belongs to live tuples whose mass interpolation
+        # smeared outward: clamp it back into the end bucket so total mass
+        # is conserved (expiring tuples subtract it again via the clamped
+        # delete).  Where the focus grew into the catch-all — which spans
+        # from the old far edge to the opposite extremum — pull its share.
+        (lo, hi), (old_lo, old_hi) = region, old_region
+        far = self._opposite.extremum()
         if self._mode == "min":
-            # Catch-all sits above the focus: spill over the top joins it.
-            # Spill below the (rising) minimum belongs to live tuples whose
-            # mass was smeared downward by interpolation — clamp it back
-            # into the lowest bucket so total mass is conserved (expiring
-            # tuples will subtract it again via the clamped delete).
             self._tail += spill_high
             if spill_low.count != 0.0 or spill_low.weight != 0.0:
                 new_inner.add_mass(0, spill_low)
-            if hi > old_hi:  # focus grew into the catch-all: pull its share
-                span = tail_hi - old_hi
-                fraction = 1.0 if span <= 0.0 else min((hi - old_hi) / span, 1.0)
-                share = self._tail.scaled(fraction)
-                self._tail = Mass(
-                    self._tail.count - share.count, self._tail.weight - share.weight
-                )
-                pour_uniform(new_inner, old_hi, hi, share)
+            if hi > old_hi:
+                span = max(far, old_hi) - old_hi
+                self._tail = pull_share(self._tail, new_inner, old_hi, hi, span)
         else:
             self._tail += spill_low
             if spill_high.count != 0.0 or spill_high.weight != 0.0:
                 new_inner.add_mass(new_inner.num_buckets - 1, spill_high)
             if lo < old_lo:
-                span = old_lo - tail_lo
-                fraction = 1.0 if span <= 0.0 else min((old_lo - lo) / span, 1.0)
-                share = self._tail.scaled(fraction)
-                self._tail = Mass(
-                    self._tail.count - share.count, self._tail.weight - share.weight
-                )
-                pour_uniform(new_inner, lo, old_lo, share)
-
-        self._inner = new_inner
+                span = old_lo - min(far, old_lo)
+                self._tail = pull_share(self._tail, new_inner, lo, old_lo, span)
 
     def _extra_gauges(self) -> dict[str, float]:
         gauges = super()._extra_gauges()

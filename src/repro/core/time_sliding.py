@@ -21,10 +21,11 @@ Differences from the count-window estimators:
   ``left tail + fine focus buckets + right tail`` and the answer is the
   band mass for the query's qualifying interval.
 
-The summary shape, routing, reallocation, and answers come from
-:class:`~repro.core.focused.TwoTailSummaryMixin`; the timestamped drain
-replaces the kernel's warmup/ring plumbing, so this class keeps its own
-``update(time, record)`` entry point.  Batches go through the shared
+The summary shape, routing, spill and answers come from
+:class:`~repro.core.focused.TwoTailSummaryMixin` and the reallocation
+step from the kernel; the timestamped drain replaces the kernel's
+warmup/ring plumbing, so this class keeps its own ``update(time,
+record)`` entry point.  Batches go through the shared
 loop as ``update_columns(xs, ys, times=...)``: the time axis is one more
 input column, and the class supplies only the per-row step
 (:meth:`_absorb_timed`).
@@ -187,10 +188,9 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
 
     # -------------------------------------------------------- reallocation
 
-    def _wholesale_partition(self, lo: float, hi: float) -> tuple[str, list[float] | None]:
-        # No fitted-normal edges here: wholesale repartitions by its own
-        # policy (quantile included) from the live bucket contents.
-        return (self._policy, None)
+    # No fitted-normal edges here: wholesale repartitions by its own
+    # policy (quantile included) from the live bucket contents.
+    _wholesale_partition = FocusedEstimatorBase._wholesale_partition
 
     def _rebuild_edges(self, lo: float, hi: float) -> list[float]:
         # Rebuilds are always uniform: the live window is re-routed through

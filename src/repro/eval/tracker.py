@@ -99,8 +99,8 @@ def _replay(
     path is parity-tested to transcribe the scalar loop exactly.  The
     tracker always wants ``collect="all"`` (the default): its whole
     output is the per-record estimate series the error metrics consume,
-    so the lean ``"last"``/``"none"`` modes the sharded workers and
-    benchmarks use would defeat it here.  With a registry the scalar
+    so the lean ``"none"`` mode the sharded workers and benchmarks use
+    would defeat it here.  With a registry the scalar
     loop is kept: per-update latency profiling *is* the point there, and
     wrapping the clock around a batch would hide it.
     """

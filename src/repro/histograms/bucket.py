@@ -39,6 +39,9 @@ class Mass(NamedTuple):
             return NotImplemented
         return Mass(self.count + other.count, self.weight + other.weight)
 
+    def __sub__(self, other: "Mass") -> "Mass":
+        return Mass(self.count - other.count, self.weight - other.weight)
+
     def scaled(self, factor: float) -> "Mass":
         """Both components multiplied by ``factor``."""
         return Mass(self.count * factor, self.weight * factor)

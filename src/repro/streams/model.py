@@ -20,7 +20,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 from repro.exceptions import ConfigurationError, StreamError
 
 #: Valid ``collect=`` modes for batched ingestion.
-COLLECT_MODES = ("all", "last", "none")
+COLLECT_MODES = ("all", "none")
 
 
 class Record(NamedTuple):
@@ -63,12 +63,11 @@ class StreamAlgorithm(Protocol):
         The record-list adapter over :meth:`update_columns`'s batch loop.
         ``collect="all"`` (the default) must be exactly equivalent to
         ``[self.update(r) for r in records]`` — batching is an ingestion
-        fast path, never a semantic change.  ``"last"`` ingests the whole
-        chunk but returns only the final output (``[]`` on an empty
-        chunk); ``"none"`` always returns ``[]``.  Both relaxed modes
-        leave the summary in the identical post-chunk state and let
+        fast path, never a semantic change.  ``"none"`` returns ``[]``:
+        it leaves the summary in the identical post-chunk state and lets
         implementations skip per-record answer extraction, avoiding the
-        O(n) output list on million-tuple batches.
+        O(n) output list on million-tuple batches (call ``estimate()``
+        for the final answer).
         """
         ...
 
@@ -126,7 +125,7 @@ class BatchedIngest:
         return self._ingest_rows(ColumnRows(x_col, y_col), times, collect)
 
     def _ingest_rows(self, rows: Sequence[Record], times, collect: str) -> list[float]:
-        """Validate ``collect`` and ``times``, feed every row, apply ``collect``."""
+        """Validate ``collect`` and ``times``, then feed every row."""
         if collect not in COLLECT_MODES:
             raise ConfigurationError(
                 f"unknown collect mode {collect!r}; choose one of {', '.join(COLLECT_MODES)}"
@@ -138,11 +137,7 @@ class BatchedIngest:
             )
         outputs: list[float] = []
         self._feed_rows(rows, times, outputs, collect)
-        if collect == "all":
-            return outputs
-        if collect == "last" and len(rows):
-            return [self.estimate()]  # type: ignore[attr-defined]
-        return []
+        return outputs
 
     def _feed_rows(self, rows, times, outputs: list[float], collect: str) -> None:
         """Step every row through the scalar path (answers only for "all")."""

@@ -3,7 +3,7 @@
 ``update_columns`` (with ``times=`` on the time-window estimator) must
 be a float-for-float transcription of the scalar ``update`` loop: same
 per-record outputs under ``collect="all"``, same final estimate and
-internal state under ``collect="last"``/``"none"``, same exception (with
+internal state under ``collect="none"``, same exception (with
 the same partial state) when a chunk holds a record the scalar path
 would reject.  These tests pin that equivalence for all five estimator
 families across batch sizes 1, 7 and 4096 and at the window size and
@@ -138,26 +138,16 @@ def test_collect_all_matches_scalar(family, batch_size, stream, columns):
 
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("collect", ["last", "none"])
-def test_lean_collect_modes_match_scalar_state(
-    family, batch_size, collect, stream, columns
-):
-    """collect='last'/'none' skip outputs but land in the identical state."""
+def test_lean_collect_mode_matches_scalar_state(family, batch_size, stream, columns):
+    """collect='none' skips outputs but lands in the identical state."""
     xs, ys = columns
     expected, single = _scalar_outputs(family, stream)
     batched = _build(family)
-    last: list[float] = []
     for i in range(0, len(xs), batch_size):
         out = batched.update_columns(
-            xs[i : i + batch_size], ys[i : i + batch_size], collect=collect
+            xs[i : i + batch_size], ys[i : i + batch_size], collect="none"
         )
-        if collect == "none":
-            assert out == []
-        else:
-            assert len(out) <= 1
-            last = out or last
-    if collect == "last":
-        assert last == [expected[-1]]
+        assert out == []
     assert batched.estimate() == expected[-1]
     assert _state_fingerprint(batched) == _state_fingerprint(single)
 
@@ -258,19 +248,18 @@ def _traced_run(family, records, collect, columnar, monkeypatch):
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-@pytest.mark.parametrize("collect", ["none", "last"])
-def test_traced_columns_take_the_kernel(family, collect, stream, monkeypatch):
+def test_traced_columns_take_the_kernel(family, stream, monkeypatch):
     """Tracing without per-record answers keeps the vectorised kernel.
 
-    The scalar loop opens no answer span for ``"none"``/``"last"``, and
-    the kernel pushes every boundary record through the same scalar
-    machinery, so state and the span sequence match it exactly.
+    The scalar loop opens no answer span for ``"none"``, and the kernel
+    pushes every boundary record through the same scalar machinery, so
+    state and the span sequence match it exactly.
     """
     expected, single, single_spans, _ = _traced_run(
-        family, stream, collect, False, monkeypatch
+        family, stream, "none", False, monkeypatch
     )
     got, batched, spans, kernel_rows = _traced_run(
-        family, stream, collect, True, monkeypatch
+        family, stream, "none", True, monkeypatch
     )
     assert kernel_rows > SIZE // 2
     assert got == expected
@@ -300,6 +289,9 @@ def test_bad_collect_mode_did_you_mean():
     estimator = _build("landmark_extrema")
     with pytest.raises(ConfigurationError, match="collect"):
         estimator.update_columns([1.0], [1.0], collect="lsat")
+    # No "last" mode: the final answer is estimate().
+    with pytest.raises(ConfigurationError, match="collect"):
+        estimator.update_many([Record(1.0)], collect="last")
 
 
 # ------------------------------------------------------------- time-sliding
@@ -321,11 +313,10 @@ def test_time_sliding_columns_timed_matches_scalar(stream):
     batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
     assert batched.update_columns(xs, ys, times=times) == expected
     assert batched.obs_state() == single.obs_state()
-    for collect, want in (("last", [expected[-1]]), ("none", [])):
-        lean = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
-        assert lean.update_columns(xs, ys, collect=collect, times=times) == want
-        assert lean.estimate() == expected[-1]
-        assert lean.obs_state() == single.obs_state()
+    lean = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
+    assert lean.update_columns(xs, ys, collect="none", times=times) == []
+    assert lean.estimate() == expected[-1]
+    assert lean.obs_state() == single.obs_state()
 
 
 def test_time_sliding_columns_timed_length_mismatch(stream):
@@ -336,16 +327,16 @@ def test_time_sliding_columns_timed_length_mismatch(stream):
 
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
 def test_empty_chunks_return_nothing(family, stream):
-    """An empty chunk ingests nothing in every mode; ``"last"`` returns []."""
+    """An empty chunk ingests nothing and returns [] in every mode."""
     estimator = _build(family)
     oracle = build_estimator(FAMILY_QUERIES[family], "exact", stream=stream)
     for algorithm in (estimator, oracle):
-        for collect in ("all", "last", "none"):
+        for collect in ("all", "none"):
             assert algorithm.update_columns([], [], collect=collect) == []
             assert algorithm.update_many([], collect=collect) == []
     estimator.update_many(stream[:300], collect="none")
     before = _state_fingerprint(estimator)
-    for collect in ("all", "last", "none"):
+    for collect in ("all", "none"):
         assert estimator.update_columns([], [], collect=collect) == []
         assert estimator.update_many([], collect=collect) == []
     assert _state_fingerprint(estimator) == before
@@ -378,7 +369,7 @@ def test_time_sliding_timed_collect_modes(stream):
     expected = [single.update(t, r) for t, r in zip(times, records)]
     xs = [r.x for r in records]
     ys = [r.y for r in records]
-    for collect, want in (("all", expected), ("last", [expected[-1]]), ("none", [])):
+    for collect, want in (("all", expected), ("none", [])):
         batched = TimeSlidingEstimator(TIMED_QUERY, duration=50.0, num_buckets=10)
         assert batched.update_columns(xs, ys, collect=collect, times=times) == want
         assert batched.estimate() == expected[-1]

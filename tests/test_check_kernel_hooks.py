@@ -67,3 +67,21 @@ def test_own_and_public_fields_pass(tmp_path):
         "        return other._buffer, self._moments.count\n",
     )
     assert check_kernel_hooks.check(core) == []
+
+
+def test_family_reallocation_copy_is_flagged(tmp_path):
+    """The reallocation step is kernel-owned: a family supplies hooks only."""
+    family = (
+        "from repro.core.focused import FocusedEstimatorBase\n"
+        "class Estimator(FocusedEstimatorBase):\n"
+        "    def _spill(self, new_inner, low, high, region, old_region):\n"
+        "        pass\n"
+    )
+    core = _tree(tmp_path, family)
+    assert check_kernel_hooks.check(core) == []
+    (core / "estimator.py").write_text(
+        family + "    def _reallocate(self, lo, hi):\n        pass\n"
+    )
+    problems = check_kernel_hooks.check(core)
+    assert len(problems) == 1
+    assert "_reallocate()" in problems[0]

@@ -346,6 +346,29 @@ class TestBatchSizeFlag:
         assert f"--batch-size must be >= 1, got {batch_size}" in capsys.readouterr().err
 
 
+    def test_time_window_feeds_batch_size_chunks(self, capsys, monkeypatch):
+        """--time-window honours --batch-size: chunks of N, same report."""
+        from repro.core.time_sliding import TimeSlidingEstimator
+
+        argv = [
+            "estimate", "--dataset", "USAGE", "--independent", "avg",
+            "--time-window", "50", "--size", "300",
+        ]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        calls: list[int] = []
+        update_columns = TimeSlidingEstimator.update_columns
+
+        def spy(self, xs, ys=None, collect="all", *, times=None):
+            calls.append(len(xs))
+            return update_columns(self, xs, ys, collect, times=times)
+
+        monkeypatch.setattr(TimeSlidingEstimator, "update_columns", spy)
+        assert main([*argv, "--batch-size", "7"]) == 0
+        assert calls == [7] * 42 + [6]
+        assert capsys.readouterr().out == plain
+
+
 class TestShardFlags:
     ESTIMATE = [
         "estimate",

@@ -14,11 +14,14 @@ syntax-tree rule:
    not define the kernel-owned machinery (``_init_kernel``,
    ``_build_histogram``, ``obs_state``, ``estimate_bounds``,
    ``update_many``, ``_after_add``, the columnar segment loop
-   ``_steady_columns``): those are the shared spine, and a private copy
-   would drift from the parity fixtures.  A family's columnar kernel is
-   its trace producer and routing hooks (``_column_trace``,
-   ``_column_triggers``, ``_column_route``, ...), never its own loop.  Non-kernel
-   algorithms (baselines, heuristics, the oracle) implement the
+   ``_steady_columns``, the reallocation step ``_reallocate``): those are
+   the shared spine, and a private copy would drift from the parity
+   fixtures.  A family's reallocation is its regime test, restart and
+   spill hooks (``_regime_break``, ``_restart``, ``_spill``), never its
+   own strategy dispatch.  A family's columnar kernel is its trace
+   producer and routing hooks (``_column_trace``, ``_column_triggers``,
+   ``_column_route``, ...), never its own loop.  Non-kernel algorithms
+   (baselines, heuristics, the oracle) implement the
    ``ObservableAlgorithm``/batch protocols directly and are exempt.
 3. No module under ``src/repro/core/`` reads or assigns a private field of
    a ``repro/structures/`` object through a receiver other than ``self``
@@ -49,7 +52,12 @@ HOOK_MARKERS = (
     "_route_remove",
     "_should_reallocate",
     "_target_interval",
-    "_reallocate",
+    "_focus_region",
+    "_regime_break",
+    "_drift",
+    "_restart",
+    "_wholesale_partition",
+    "_spill",
     "_warmup_step",
     "_quantile_edges",
     "_seed_histogram",
@@ -70,6 +78,7 @@ KERNEL_OWNED = (
     "_init_kernel",
     "_build_histogram",
     "_rebuild_from_window",
+    "_reallocate",
     "_partition",
     "obs_state",
     "estimate_bounds",
