@@ -14,7 +14,6 @@ competing stream algorithm.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 
 from repro.core.query import CorrelatedQuery
@@ -90,7 +89,36 @@ class ExactOracle(BatchedIngest):
             # strict: x > mean
             count = float(self._index.count_gt(lo))
             weight = self._index.sum_gt(lo)
-        return query.value_from(count, weight)
+        # An empty qualifying set sums to exactly 0, whatever residue the
+        # Fenwick differences of inserted and deleted weights leave.
+        return query.value_from(count, weight if count else 0.0)
+
+
+class TimeWindowOracle(ExactOracle):
+    """:class:`ExactOracle` over the trailing ``duration`` of stream time,
+    driven like a time-window estimator: ``update(time, record)`` or
+    ``update_columns(xs, ys, times=...)``."""
+
+    _timestamped = True
+
+    def __init__(self, query: CorrelatedQuery, universe: Iterable[float], duration: float):
+        if query.is_sliding:
+            raise ConfigurationError("time-window evaluation needs a landmark query")
+        self._query = query
+        self._index = OrderStatisticsIndex(universe)
+        self._scope = ScopeAggregate(query.independent, duration=duration)
+
+    def update(self, time: float, record: Record) -> float:  # type: ignore[override]
+        """Consume the tuple at ``time`` (non-decreasing); return the exact value."""
+        self._absorb_timed(time, record)
+        return self.estimate()
+
+    def _absorb_timed(self, time: float, record: Record) -> None:
+        record = record if isinstance(record, Record) else Record(*record)
+        ensure_finite(record)
+        for old in self._scope.push_at(time, record):
+            self._index.delete(old.x, old.y)
+        self._index.insert(record.x, record.y)
 
 
 def exact_series(records: Sequence[Record], query: CorrelatedQuery) -> list[float]:
@@ -107,35 +135,13 @@ def exact_time_series(
     """Exact per-step answers over a trailing *time* window.
 
     The scope at step ``i`` is every tuple with timestamp in
-    ``(t_i - duration, t_i]`` — the same live set a
-    :class:`~repro.core.time_sliding.TimeSlidingEstimator` keeps (its
-    expiry drops tuples with ``time <= now - duration``).  This is the
-    reference the tests and the CLI compare time-window runs against; it
-    re-evaluates the predicate over the live window per step, which is
-    fine for recorded evaluation streams and deliberately not a stream
-    algorithm.
+    ``(t_i - duration, t_i]`` — the live set of a
+    :class:`~repro.core.time_sliding.TimeSlidingEstimator` — answered by a
+    :class:`TimeWindowOracle` in O(n log n).  This is the reference the
+    tests and the CLI compare time-window runs against.
     """
     if not timed:
         raise ConfigurationError("exact_time_series needs a non-empty stream")
-    if query.is_sliding:
-        raise ConfigurationError("time-window evaluation needs a landmark query")
-    if duration <= 0.0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    out: list[float] = []
-    live: list[tuple[float, Record]] = []
-    for time, record in timed:
-        live.append((time, record if isinstance(record, Record) else Record(*record)))
-        cutoff = time - duration
-        live = [(t, r) for t, r in live if t > cutoff]
-        xs = [r.x for _, r in live]
-        if query.independent == "min":
-            independent = min(xs)
-        elif query.independent == "max":
-            independent = max(xs)
-        else:
-            independent = math.fsum(xs) / len(xs)
-        qualifying = [r for _, r in live if query.qualifies(r.x, independent)]
-        count = float(len(qualifying))
-        weight = math.fsum(r.y for r in qualifying)
-        out.append(query.value_from(count, weight))
-    return out
+    times, records = zip(*((t, Record(*r)) for t, r in timed))
+    oracle = TimeWindowOracle(query, (r.x for r in records), duration)
+    return oracle.update_columns([r.x for r in records], [r.y for r in records], times=times)

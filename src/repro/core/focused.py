@@ -47,10 +47,11 @@ Two mixins capture the recurring summary shapes:
   tail, fine focus buckets, coarse right tail) used by the AVG estimators
   and the time-sliding estimator, including the two-tail spill hook
   and the band-mass answer path.
-* :class:`RingWindowMixin` — the count-based sliding window: a
+* :class:`RingWindowMixin` — the sliding window, counted or timed: a
   :class:`~repro.structures.column_ring.ColumnRing` of ``(x, y, side)``
   rows whose side code routes expiry to the account the mass was
-  credited to, plus the expire → retarget → place step.
+  credited to, plus the expire → retarget → place step, the warmup
+  answer and the from-window rebuild over the ring.
 
 Every method here is float-for-float identical to the five pre-refactor
 modules; ``tests/core/test_kernel_parity.py`` replays golden fixtures
@@ -295,10 +296,6 @@ class FocusedEstimatorBase(BatchedIngest):
         """Bucket boundaries for the first build (defaults to _partition)."""
         return self._partition(lo, hi)
 
-    def _rebuild_edges(self, lo: float, hi: float) -> list[float]:
-        """Bucket boundaries for a from-window rebuild."""
-        return self._partition(lo, hi)
-
     def _partition(self, lo: float, hi: float) -> list[float]:
         if self._policy == "uniform":
             return uniform_boundaries(lo, hi, self._inner_m)
@@ -313,37 +310,6 @@ class FocusedEstimatorBase(BatchedIngest):
         assert self._buffer is not None
         for record in self._buffer:
             self._route_add(record.x, record.y)
-
-    def _rebuild_from_window(self, lo: float, hi: float, reason: str = "regime") -> None:
-        """Restart the summary over ``[lo, hi]`` from the live population.
-
-        Runs in O(w), but only on rebuild events (regime breaks and the
-        periodic re-sort); the per-tuple path stays O(m).
-        """
-        with self._tracer.span("kernel.rebuild", reason=reason) as span:
-            edges = self._rebuild_edges(lo, hi)
-            scanned = self._population()
-            span.set("scanned", scanned)
-            if self._obs.enabled:
-                self._obs.emit(
-                    "hist.rebuild", reason=reason, low=lo, high=hi, scanned=scanned
-                )
-            self._inner = BucketArray(edges)
-            self._reset_tails()
-            self._steps_since_rebuild = 0
-            self._reseed_from_window()
-
-    def _population(self) -> float:
-        """How many live tuples a from-window rebuild scans."""
-        raise NotImplementedError
-
-    def _reset_tails(self) -> None:
-        """Zero the coarse summary accounts outside the fine buckets."""
-        raise NotImplementedError
-
-    def _reseed_from_window(self) -> None:
-        """Re-route every live tuple into the freshly partitioned summary."""
-        raise NotImplementedError
 
     # -------------------------------------------------------- reallocation
 
@@ -403,14 +369,8 @@ class FocusedEstimatorBase(BatchedIngest):
 
     def _restart(self, lo: float, hi: float) -> bool:
         """Regime break: restart the summary over ``[lo, hi]``, or return
-        False to decline and take the wholesale path.
-
-        Default: the sliding analogue of the paper's InitializeHistogram —
-        rebuild from the live window, since incremental spill arithmetic
-        would strand correctly classified mass on the wrong side.
-        """
-        self._rebuild_from_window(lo, hi, reason="regime")
-        return True
+        False to decline and take the wholesale path."""
+        raise NotImplementedError
 
     def _wholesale_partition(self, lo: float, hi: float) -> tuple[str, list[float] | None]:
         """(policy, explicit edges) handed to wholesale_reallocate."""
@@ -1051,15 +1011,20 @@ class TwoTailSummaryMixin:
 
 
 class RingWindowMixin:
-    """Count-based sliding window over a :class:`ColumnRing`.
+    """A sliding window over a :class:`ColumnRing`, counted or clocked.
 
     Each row keeps the side code its record's mass went to at insertion,
     so expiry decrements the same account it credited.  Routing deletions
     by the *current* region instead would leave misclassified mass
     stranded in a tail forever (and drive the other tail negative).  The
     scalar step and the columnar kernels share the one ring: both push
-    into it and expire the rows it hands back.
+    into it and expire the rows it hands back — at most one from a count
+    ring, any number from a :class:`~repro.structures.column_ring.ClockedRing`.
+    Hosts provide ``_push_trackers`` and ``_reset_tails``.
     """
+
+    #: obs_state() name of the live-row gauge.
+    _ring_gauge = "ring"
 
     def _init_ring(
         self,
@@ -1084,29 +1049,28 @@ class RingWindowMixin:
         self._rebuild_period = rebuild_period
         self._ring = ColumnRing(window)
 
-    def _push_trackers(self, record: Record) -> None:
-        """Feed the window statistics (moments and/or extrema trackers)."""
-        raise NotImplementedError
+    def _forget(self, rows) -> None:
+        """Retire expired ``(x, y, side)`` rows from any removable statistics."""
 
-    def _forget(self, x: float) -> None:
-        """Retire an evicted value from any removable statistics."""
-
-    def _ingest(self, record: Record) -> tuple[float, float, int] | None:
+    def _ingest(self, record: Record):
         self._push_trackers(record)
         evicted = self._ring.push(record.x, record.y)
-        if evicted is not None:
-            self._forget(evicted[0])
-        return evicted
+        if evicted is None:
+            return ()
+        rows = evicted if self._ring.clocked else (evicted,)
+        self._forget(rows)
+        if self._obs.enabled:
+            for _, _, side in rows:
+                self._obs.emit("window.expire", count=1.0, side=SIDE_NAMES[side])
+        return rows
 
-    def _step(self, record: Record, evicted: tuple[float, float, int] | None) -> None:
+    def _step(self, record: Record, rows) -> None:
         # Expire first (side-routed, so independent of the region), then
         # move the region, then place the new arrival.  A regime-change or
         # periodic rebuild routes the new arrival itself (it is in the
         # ring) and zeroes the step count, so it is not added twice.
-        if evicted is not None:
-            self._route_remove(*evicted)
-            if self._obs.enabled:
-                self._obs.emit("window.expire", count=1.0, side=SIDE_NAMES[evicted[2]])
+        for row in rows:
+            self._route_remove(*row)
         lo, hi = self._target_interval()
         self._steps_since_rebuild += 1
         if self._rebuild_period and self._steps_since_rebuild >= self._rebuild_period:
@@ -1119,13 +1083,51 @@ class RingWindowMixin:
     def _seed_histogram(self) -> None:
         self._reseed_from_window()  # warm-up is shorter than the window
 
+    def _restart(self, lo: float, hi: float) -> bool:
+        # The sliding analogue of the paper's InitializeHistogram: rebuild
+        # from the live window, since incremental spill arithmetic would
+        # strand correctly classified mass on the wrong side.
+        self._rebuild_from_window(lo, hi, reason="regime")
+        return True
+
+    def _rebuild_from_window(self, lo: float, hi: float, reason: str = "regime") -> None:
+        """Restart the summary over ``[lo, hi]`` from the live window.
+
+        Runs in O(w), but only on rebuild events (regime breaks and the
+        periodic re-sort); the per-tuple path stays O(m).
+        """
+        with self._tracer.span("kernel.rebuild", reason=reason) as span:
+            edges = self._rebuild_edges(lo, hi)
+            scanned = self._population()
+            span.set("scanned", scanned)
+            if self._obs.enabled:
+                self._obs.emit(
+                    "hist.rebuild", reason=reason, low=lo, high=hi, scanned=scanned
+                )
+            self._inner = BucketArray(edges)
+            self._reset_tails()
+            self._steps_since_rebuild = 0
+            self._reseed_from_window()
+
+    def _rebuild_edges(self, lo: float, hi: float) -> list[float]:
+        return self._partition(lo, hi)
+
     def _reseed_from_window(self) -> None:
         self._ring.assign_sides(self._route_add)
 
     def _population(self) -> float:
         return float(len(self._ring))
 
+    def _estimate_warmup(self) -> float:
+        """Exact answer over the live window (0 while it is empty)."""
+        if not self._ring:
+            return 0.0
+        independent = self._independent_value()
+        qualifies = self._query.qualifies
+        weights = [y for x, y, _ in self._ring if qualifies(x, independent)]
+        return self._query.value_from(float(len(weights)), sum(weights, 0.0))
+
     def _extra_gauges(self) -> dict[str, float]:
         gauges = super()._extra_gauges()
-        gauges["ring"] = float(len(self._ring))
+        gauges[self._ring_gauge] = float(len(self._ring))
         return gauges

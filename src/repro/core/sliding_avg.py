@@ -133,8 +133,8 @@ class SlidingAvgEstimator(RingWindowMixin, TwoTailSummaryMixin, FocusedEstimator
         self._min_tracker.push(record.x)
         self._max_tracker.push(record.x)
 
-    def _forget(self, x: float) -> None:
-        self._moments.remove(x)
+    def _forget(self, rows) -> None:
+        self._moments.remove(rows[0][0])  # a count ring evicts one row
 
     def _target_interval(self) -> tuple[float, float]:
         # The confidence interval does not shrink: sqrt(w), not sqrt(n).

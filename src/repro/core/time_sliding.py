@@ -10,46 +10,49 @@ arrival may expire zero, one, or thousands of old tuples at once.
 
 Differences from the count-window estimators:
 
-* the expiry buffer is a deque drained by timestamp (variable length —
-  bounded by whatever the arrival rate puts inside one window, which is
-  the inherent cost of deletion support, exactly as in the count case);
+* the window is a :class:`~repro.structures.column_ring.ClockedRing`, the
+  count windows' column ring expiring by clock and growing with whatever
+  the arrival rate puts inside one window;
 * extrema and window-min/max come from time-sliced local-extrema trackers
   (:class:`~repro.structures.time_intervals.TimeIntervalExtremaTracker`);
 * the AVG focus half-width uses ``sigma_hat / sqrt(n_live)`` with the
   *live* tuple count, since the window population varies;
+* warm-up ends with a uniform rebuild once the window holds ``m`` tuples;
 * both independents share one estimator class: the summary is always
   ``left tail + fine focus buckets + right tail`` and the answer is the
   band mass for the query's qualifying interval.
 
-The summary shape, routing, spill and answers come from
-:class:`~repro.core.focused.TwoTailSummaryMixin` and the reallocation
-step from the kernel; the timestamped drain replaces the kernel's
-warmup/ring plumbing, so this class keeps its own ``update(time,
-record)`` entry point.  Batches go through the shared
-loop as ``update_columns(xs, ys, times=...)``: the time axis is one more
-input column, and the class supplies only the per-row step
-(:meth:`_absorb_timed`).
+The rest — expiry, the step, warmup answers and rebuilds — is
+:class:`~repro.core.focused.RingWindowMixin`'s, and the summary shape
+:class:`~repro.core.focused.TwoTailSummaryMixin`'s.  ``update(time,
+record)`` sets the ring's clock and runs the kernel's ``update``; batches
+take ``update_columns(xs, ys, times=...)``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
-from repro.core.focused import STRATEGIES, FocusedEstimatorBase, TwoTailSummaryMixin
+from repro.core.focused import (
+    STRATEGIES,
+    FocusedEstimatorBase,
+    RingWindowMixin,
+    TwoTailSummaryMixin,
+)
 from repro.core.query import CorrelatedQuery
 from repro.exceptions import ConfigurationError, StreamError
 from repro.histograms.partition import uniform_boundaries
 from repro.obs.sink import ObsSink
 from repro.obs.trace import Tracer
 from repro.streams.model import Record, ensure_finite
+from repro.structures.column_ring import ClockedRing
 from repro.structures.time_intervals import TimeIntervalExtremaTracker
 from repro.structures.welford import RunningMoments
 
 __all__ = ["TimeSlidingEstimator", "STRATEGIES"]
 
 
-class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
+class TimeSlidingEstimator(RingWindowMixin, TwoTailSummaryMixin, FocusedEstimatorBase):
     """Single-pass correlated-aggregate estimator over a trailing duration.
 
     Parameters
@@ -86,10 +89,10 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
     #: No merge/split swaps: rebuilds are always uniform over the live
     #: window, so quantile maintenance would fight the periodic re-sort.
     _swap_enabled = False
-    #: No warmup buffer (the live deque plays that role) …
+    #: No warmup buffer (the ring plays that role; its gauge is ``live``) …
     _warmup_gauge = False
-    #: … and every row carries a timestamp: ``update(time, record)``,
-    #: ``update_columns(..., times=)``.
+    _ring_gauge = "live"
+    #: … and every row carries a timestamp.
     _timestamped = True
 
     def __init__(
@@ -111,39 +114,31 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                 "pass the time window via duration=; the query's tuple window "
                 "must be None"
             )
-        if duration <= 0.0:
-            raise ConfigurationError(f"duration must be positive, got {duration}")
+        self._ring = ClockedRing(duration)
         self._init_kernel(query, num_buckets, strategy, policy, 32, sink, tracer)
         if k_std <= 0:
             raise ConfigurationError(f"k_std must be positive, got {k_std}")
         if rebuild_period < 0:
             raise ConfigurationError(f"rebuild_period must be >= 0, got {rebuild_period}")
-        self._duration = duration
         self._k = k_std
         self._drift_tolerance = drift_tolerance
         self._rebuild_period = rebuild_period
         self._min_tracker = TimeIntervalExtremaTracker(duration, num_intervals, "min")
         self._max_tracker = TimeIntervalExtremaTracker(duration, num_intervals, "max")
         self._moments = RunningMoments()
-        # Cells are [time, record, side]; drained from the left by time.
-        self._live: deque[list] = deque()
-        self._last_time: float | None = None
         self._init_two_tails()
-        self._warmup_target = num_buckets
-        # Warm-up here is "too few live tuples", not a buffered prefix:
-        # the kernel's warmup flag stays off and `_inner is None` gates.
-        self._buffer = None
+        self._buffer = []  # the kernel's warm-up flag; the ring holds the rows
 
     # ------------------------------------------------------------ plumbing
 
     @property
     def duration(self) -> float:
-        return self._duration
+        return self._ring.duration
 
     @property
     def live_count(self) -> int:
         """Number of tuples currently inside the time window."""
-        return len(self._live)
+        return len(self._ring)
 
     def _independent_value(self) -> float:
         if self._query.independent == "min":
@@ -173,7 +168,7 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
                 hi = extremum
         else:
             mu = self._moments.mean
-            n_live = max(len(self._live), 1)
+            n_live = max(len(self._ring), 1)
             half = self._k * self._moments.std / math.sqrt(n_live)
             if self._query.two_sided:
                 half += self._query.epsilon
@@ -197,102 +192,49 @@ class TimeSlidingEstimator(TwoTailSummaryMixin, FocusedEstimatorBase):
         # fresh buckets, and there is no buffered value list to fit.
         return uniform_boundaries(lo, hi, self._inner_m)
 
-    def _population(self) -> float:
-        return float(len(self._live))
-
-    def _reseed_from_window(self) -> None:
-        for cell in self._live:
-            cell[2] = self._route_add(cell[1].x, cell[1].y)
-
     # --------------------------------------------------------------- steps
 
-    def _expire(self, now: float) -> None:
-        cutoff = now - self._duration
-        removed = 0
-        while self._live and self._live[0][0] <= cutoff:
-            _, record, side = self._live.popleft()
-            removed += 1
-            if self._query.independent == "avg":
-                self._moments.remove(record.x)
-            if self._inner is not None:
-                self._route_remove(record.x, record.y, side)
-        if (
-            removed >= len(self._live)
-            and removed > 0
-            and self._query.independent == "avg"
-        ):
-            # A bulk expiry (gap or burst) removed at least as many tuples
-            # as remain: recompute the moments exactly from the survivors,
-            # clearing the reverse-Welford floating-point residue that
-            # would otherwise dominate a small window.
-            self._moments = RunningMoments()
-            for _, record, _ in self._live:
-                self._moments.push(record.x)
-        if removed > 0 and self._obs.enabled:
-            self._obs.emit("window.expire", count=float(removed))
+    def update(self, time: float, record: Record) -> float:  # type: ignore[override]
+        """Consume the tuple at ``time`` (non-decreasing); return the estimate.
 
-    def update(self, time: float, record: Record) -> float:
-        """Consume one timestamped tuple; return the current estimate.
-
-        ``time`` must be non-decreasing; every tuple older than
-        ``time - duration`` expires before the new one is placed.
+        Every tuple with a time at or before ``time - duration`` expires.
         """
-        self._absorb_timed(time, record)
-        return self.estimate()
+        return super().update(self._tick(time, record))
 
     def _absorb_timed(self, time: float, record: Record) -> None:
-        """The timestamped step without the estimate: validate, place, expire."""
+        self._absorb(self._tick(time, record))
+
+    def _tick(self, time: float, record: Record) -> Record:
+        """Validate the row, then set the window's clock to ``time``."""
         record = record if isinstance(record, Record) else Record(*record)
         ensure_finite(record)
-        if not math.isfinite(time):
-            raise StreamError(f"non-finite timestamp {time!r}")
-        if self._last_time is not None and time < self._last_time:
-            raise StreamError(
-                f"timestamps must be non-decreasing: {time} after {self._last_time}"
-            )
-        self._last_time = time
+        self._ring.tick(time)
+        return record
 
-        self._min_tracker.push(time, record.x)
-        self._max_tracker.push(time, record.x)
+    def _push_trackers(self, record: Record) -> None:
+        now = self._ring.now
+        self._min_tracker.push(now, record.x)
+        self._max_tracker.push(now, record.x)
         if self._query.independent == "avg":
             self._moments.push(record.x)
-        cell: list = [time, record, None]
-        self._live.append(cell)
-        self._expire(time)
 
-        if self._inner is None:
-            if len(self._live) >= self._warmup_target:
-                self._rebuild_from_window(*self._target_interval(), reason="warmup")
+    def _forget(self, rows) -> None:
+        if self._query.independent != "avg":
             return
+        for x, _, _ in rows:
+            self._moments.remove(x)
+        if len(rows) >= len(self._ring):
+            # A bulk expiry (gap or burst) removed at least as many tuples
+            # as remain: recompute the moments exactly from the survivors,
+            # clearing the reverse-Welford residue that would otherwise
+            # dominate a small window.
+            self._moments = RunningMoments()
+            for x in self._ring.x_values():
+                self._moments.push(x)
 
-        lo, hi = self._target_interval()
-        self._steps_since_rebuild += 1
-        if self._rebuild_period and self._steps_since_rebuild >= self._rebuild_period:
-            self._rebuild_from_window(lo, hi, reason="periodic")
-        elif self._should_reallocate(lo, hi):
-            self._reallocate(lo, hi)
-        if cell[2] is None:
-            cell[2] = self._route_add(record.x, record.y)
-
-    def _extra_gauges(self) -> dict[str, float]:
-        gauges = super()._extra_gauges()
-        gauges["live"] = float(len(self._live))
-        return gauges
-
-    # -------------------------------------------------------------- answer
-
-    def estimate(self) -> float:
-        """Estimated dependent aggregate over the trailing duration."""
-        if not self._live:
-            return 0.0
-        return super().estimate()
-
-    def _estimate_warmup(self) -> float:
-        # Warm-up answers come from the live deque (exact), not a buffer.
-        independent = self._independent_value()
-        qualifying = [
-            cell[1] for cell in self._live if self._query.qualifies(cell[1].x, independent)
-        ]
-        count = float(len(qualifying))
-        weight = sum((r.y for r in qualifying), 0.0)
-        return self._query.value_from(count, weight)
+    def _warmup_step(self, record: Record) -> None:
+        # Build once the window holds m tuples: a uniform rebuild routes
+        # the whole live window, the new arrival included.
+        if len(self._ring) >= self._m:
+            self._rebuild_from_window(*self._target_interval(), reason="warmup")
+            self._buffer = None

@@ -46,7 +46,9 @@ from repro.streams.model import StreamAlgorithm
 #: Bumped when estimator internals change incompatibly.  Format 3: a
 #: sliding window is a ``ColumnRing`` of float columns (format 2 pickled a
 #: list of per-record cells), and the estimator is pickled as its own bytes.
-FORMAT_VERSION = 3
+#: Format 4: a time window is a ``ClockedRing`` too (format 3 pickled a
+#: deque of ``[time, record, side]`` cells).
+FORMAT_VERSION = 4
 
 _MAGIC = b"repro-checkpoint"
 

@@ -98,7 +98,8 @@ class BatchedIngest:
     kernel overrides only the hand-off, :meth:`_feed_rows`.
     """
 
-    #: Time-window scopes: rows need ``times=`` and step via ``_absorb_timed``.
+    #: Time-window scopes: rows need ``times=`` and step via
+    #: ``update(time, record)``, or ``_absorb_timed`` without the answer.
     _timestamped = False
 
     def update_many(self, records: Iterable[Record], collect: str = "all") -> list[float]:
@@ -142,11 +143,11 @@ class BatchedIngest:
     def _feed_rows(self, rows, times, outputs: list[float], collect: str) -> None:
         """Step every row through the scalar path (answers only for "all")."""
         if times is not None:
-            absorb_timed = self._absorb_timed
-            for time, record in zip(times, rows):
-                absorb_timed(time, record)
-                if collect == "all":
-                    outputs.append(self.estimate())  # type: ignore[attr-defined]
+            if collect == "all":
+                outputs.extend(map(self.update, times, rows))  # type: ignore[attr-defined]
+            else:
+                for time, record in zip(times, rows):
+                    self._absorb_timed(time, record)
         elif collect == "all":
             update = self.update  # type: ignore[attr-defined]
             append = outputs.append
@@ -160,9 +161,6 @@ class BatchedIngest:
     def _absorb(self, record: Record) -> None:
         """Ingest one row without its answer (default: ``update``, dropped)."""
         self.update(record)  # type: ignore[attr-defined]
-
-    def _absorb_timed(self, time: float, record: Record) -> None:
-        raise NotImplementedError
 
 
 @runtime_checkable

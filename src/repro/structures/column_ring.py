@@ -1,4 +1,4 @@
-"""A fixed-capacity window of ``(x, y, side)`` rows in three flat columns.
+"""A window of ``(x, y, side)`` rows in flat columns, scoped by count or by time.
 
 The sliding-window estimators follow the paper's Figure 11 loop: *"add
 incoming tuple to appropriate bucket; delete outgoing tuple from
@@ -11,16 +11,22 @@ O(chunk), never O(window).  The columns are ``array.array`` objects:
 cheaper than numpy to index from Python, and still viewed in place by
 numpy through ``np.frombuffer``.  Pickled state holds the live rows only,
 oldest first, so it does not depend on where the head is.
+
+A count window and a time window differ only in how a row leaves: a full
+:class:`ColumnRing` evicts one row per push, a :class:`ClockedRing`
+expires every row its clock has passed (zero, one or thousands, in
+O(rows expired)).  Iteration, side assignment and pickling are shared.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StreamError
 
 
 class ColumnRing:
@@ -37,6 +43,9 @@ class ColumnRing:
     [(2.0, 1.0, 0), (3.0, 1.0, 1)]
     """
 
+    #: :meth:`push` hands back at most one row here, a list when clocked.
+    clocked = False
+
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"ColumnRing capacity must be positive, got {capacity}")
@@ -44,8 +53,8 @@ class ColumnRing:
         self._xs = array("d", bytes(8 * capacity))
         self._ys = array("d", bytes(8 * capacity))
         self._sides = array("b", bytes(capacity))
-        # Storage index of the oldest row.  It stays 0 until the ring is
-        # full, so the live rows always sit at head..size, then 0..head.
+        # Storage index of the oldest row; the live rows run from it for
+        # `size` slots, wrapping at the capacity (0 until a count ring fills).
         self._head = 0
         self._size = 0
 
@@ -85,6 +94,7 @@ class ColumnRing:
         the oldest live rows first, then the chunk's own first rows when
         the chunk is longer than the room the window leaves them.  Row
         ``j`` of a chunk of ``k`` evicts exactly when ``j >= k - len(evicted)``.
+        Count rings only.
         """
         chunk = (
             np.asarray(xs, dtype=np.float64),
@@ -118,9 +128,11 @@ class ColumnRing:
         the side code it returns in that row (a from-window rebuild)."""
         xs = self._live(self._xs).tolist()
         sides = array("b", map(route, xs, self._live(self._ys).tolist()))
-        cut = self._size - self._head  # live rows from the head to the end
-        self._sides[self._head : self._size] = sides[:cut]
-        self._sides[: self._head] = sides[cut:]
+        head = self._head
+        end = head + self._size
+        cut = (end if end <= self._capacity else self._capacity) - head  # before the wrap
+        self._sides[head : head + cut] = sides[:cut]
+        self._sides[: self._size - cut] = sides[cut:]
 
     def x_values(self) -> list[float]:
         """The live rows' ``x`` values, oldest first."""
@@ -129,23 +141,89 @@ class ColumnRing:
     def __iter__(self) -> Iterator[tuple[float, float, int]]:
         """The live ``(x, y, side)`` rows, oldest first (copied on the first
         ``next``, so an iterator that is never read costs nothing)."""
-        yield from zip(*(self._live(column) for column in self._columns()))
+        yield from zip(self._live(self._xs), self._live(self._ys), self._live(self._sides))
 
-    def _columns(self) -> tuple[array, array, array]:
+    def _columns(self) -> tuple[array, ...]:
         return (self._xs, self._ys, self._sides)
 
     def _live(self, column: array) -> array:
         """A copy of ``column``'s live rows, oldest first."""
-        if self._size < self._capacity:
-            return column[: self._size]
-        return column[self._head :] + column[: self._head]
+        end = self._head + self._size
+        if end <= self._capacity:
+            return column[self._head : end]
+        return column[self._head :] + column[: end - self._capacity]
 
-    def __getstate__(self) -> tuple[int, bytes, bytes, bytes]:
+    def __getstate__(self) -> tuple:
         return (self._capacity, *(self._live(column).tobytes() for column in self._columns()))
 
-    def __setstate__(self, state: tuple[int, bytes, bytes, bytes]) -> None:
+    def __setstate__(self, state: tuple) -> None:
         capacity, *live = state
-        self.__init__(capacity)
+        ColumnRing.__init__(self, capacity)
         self._size = len(live[2])
         for column, data in zip(self._columns(), live):
             column[: self._size] = array(column.typecode, data)
+
+
+class ClockedRing(ColumnRing):
+    """The rows of the trailing ``duration`` before the clock (:meth:`tick`).
+
+    A push first expires the rows with ``time <= now - duration``, then
+    stamps the new row ``now``; a full ring doubles instead of evicting.
+
+    >>> ring = ClockedRing(2.0)
+    >>> ring.tick(0.0); ring.push(1.0, 9.0)
+    >>> ring.tick(2.5); ring.push(2.0, 1.0)
+    [(1.0, 9.0, 0)]
+    """
+
+    clocked = True
+
+    def __init__(self, duration: float, capacity: int = 16) -> None:
+        if not duration > 0.0:
+            raise ConfigurationError(f"duration must be positive, got {duration}")
+        super().__init__(capacity)
+        self._ts = array("d", bytes(8 * capacity))
+        self.duration = duration
+        self.now = -math.inf
+
+    def tick(self, now: float) -> None:
+        """Advance the clock to ``now`` (finite and non-decreasing)."""
+        if not math.isfinite(now):
+            raise StreamError(f"non-finite timestamp {now!r}")
+        if now < self.now:
+            raise StreamError(f"timestamps must be non-decreasing: {now} after {self.now}")
+        self.now = now
+
+    def push(self, x: float, y: float) -> list[tuple[float, float, int]] | None:  # type: ignore[override]
+        """Append ``(x, y)``; return the rows it expired, oldest first, if any."""
+        xs, ys, sides, ts = self._columns()
+        cutoff = self.now - self.duration
+        expired = []
+        while self._size and ts[self._head] <= cutoff:
+            i = self._head
+            expired.append((xs[i], ys[i], sides[i]))
+            self._head = 0 if i + 1 == self._capacity else i + 1
+            self._size -= 1
+        if self._size == self._capacity:  # full: double, oldest row first
+            for name, column in zip(("_xs", "_ys", "_sides", "_ts"), self._columns()):
+                live = self._live(column)
+                live.frombytes(bytes(live.itemsize * self._size))
+                setattr(self, name, live)
+            self._capacity *= 2
+            self._head = 0
+            xs, ys, sides, ts = self._columns()
+        i = (self._head + self._size) % self._capacity
+        xs[i], ys[i], sides[i], ts[i] = x, y, 0, self.now
+        self._size += 1
+        return expired or None
+
+    def _columns(self) -> tuple[array, ...]:
+        return (self._xs, self._ys, self._sides, self._ts)
+
+    def __getstate__(self) -> tuple:
+        return (*super().__getstate__(), self.duration, self.now)
+
+    def __setstate__(self, state: tuple) -> None:
+        *rows, self.duration, self.now = state
+        self._ts = array("d", bytes(8 * rows[0]))
+        super().__setstate__(tuple(rows))

@@ -6,6 +6,8 @@ window extremum.  The paper's sliding-window algorithms use an *approximate*
 interval-based tracker (:mod:`repro.structures.intervals`) because it needs
 only ``k`` values of state; this exact structure serves as the reference the
 tracker is tested and ablated against, and powers the exact oracle.
+The window is counted in pushes or, when every push passes a ``time``, in
+stream time: a count window is a time window whose clock is the position.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class MonotonicDeque:
     3
     """
 
-    def __init__(self, window: int, mode: str = "min") -> None:
+    def __init__(self, window: float, mode: str = "min") -> None:
         if window <= 0:
             raise ConfigurationError(f"window must be positive, got {window}")
         if mode not in ("min", "max"):
@@ -36,7 +38,7 @@ class MonotonicDeque:
         self._position = 0
 
     @property
-    def window(self) -> int:
+    def window(self) -> float:
         return self._window
 
     @property
@@ -48,14 +50,17 @@ class MonotonicDeque:
             return new <= old
         return new >= old
 
-    def push(self, value: float) -> None:
-        """Observe the next stream value."""
+    def push(self, value: float, time: float | None = None) -> None:
+        """Observe the next stream value, at its position or at ``time``
+        (non-decreasing); a value expires once ``time - window`` reaches it."""
+        if time is None:
+            time = self._position
+            self._position += 1
         while self._deque and self._dominates(value, self._deque[-1][1]):
             self._deque.pop()
-        self._deque.append((self._position, value))
-        self._position += 1
-        expiry = self._position - self._window
-        while self._deque and self._deque[0][0] < expiry:
+        self._deque.append((time, value))
+        expiry = time - self._window
+        while self._deque and self._deque[0][0] <= expiry:
             self._deque.popleft()
 
     def extremum(self) -> float:

@@ -187,6 +187,24 @@ class TestTimeWindowFactory:
         timed = [(float(i), r) for i, r in enumerate(records, start=1)]
         assert exact_time_series(timed, LM_MIN, 50.0) == exact_series(records, SW_MIN)
 
+    @pytest.mark.parametrize("independent", ["min", "max", "avg"])
+    @pytest.mark.parametrize("dependent", ["count", "sum", "avg"])
+    def test_unit_spacing_reference_matches_tuple_window_bit_for_bit(
+        self, dependent, independent
+    ):
+        # The same equality for every dependent and independent on a real
+        # stream: one exact reference serves both scopes, so the two series
+        # agree in every bit, SUM and AVG dependents included.
+        from repro.core.exact import exact_time_series
+        from repro.datasets.registry import load_dataset
+
+        records = load_dataset("USAGE", size=3000)
+        epsilon = 0.0 if independent == "avg" else 9.0
+        timed = [(float(i), r) for i, r in enumerate(records, start=1)]
+        landmark = CorrelatedQuery(dependent, independent, epsilon=epsilon)
+        sliding = CorrelatedQuery(dependent, independent, epsilon=epsilon, window=300)
+        assert exact_time_series(timed, landmark, 300.0) == exact_series(records, sliding)
+
     def test_estimator_tracks_window_occupancy(self, rng):
         records = make_records(rng.uniform(1.0, 100.0, size=150))
         est = build_estimator(LM_MIN, "piecemeal-uniform", time_window=50.0)

@@ -5,14 +5,17 @@ from __future__ import annotations
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exact import ExactOracle, exact_series
+from repro.core.exact import ExactOracle, TimeWindowOracle, exact_series, exact_time_series
 from repro.core.query import CorrelatedQuery
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StreamError
+from repro.streams.model import Record
 from tests.conftest import brute_force_series, make_records, outcome
+from tests.core.test_time_sliding import brute_force_time_series
 
 
 class TestExactSeries:
@@ -168,3 +171,55 @@ class TestSlidingAvgRunningSum:
         for r in records[cut:]:
             assert outcome(resumed.update, r) == outcome(oracle.update, r)
 
+
+class TestTimeWindowOracle:
+    """The time-window reference against a brute-force rescan of the window."""
+
+    @staticmethod
+    def _poisson_with_gaps(seed, n, duration):
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        events = []
+        for i in range(n):
+            # Poisson arrivals, with a silence longer than the window every 97
+            clock += 2.5 * duration if i % 97 == 96 else float(rng.exponential(1.0))
+            events.append((clock, Record(float(rng.lognormal(2.0, 0.8)), float(rng.uniform(0, 9)))))
+        return events
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("independent", ["min", "max", "avg"])
+    def test_matches_brute_force(self, seed, independent):
+        duration = 30.0
+        events = self._poisson_with_gaps(seed, 600, duration)
+        for dependent in ("count", "sum"):
+            epsilon = 0.0 if independent == "avg" else 2.0
+            query = CorrelatedQuery(dependent, independent, epsilon=epsilon)
+            got = exact_time_series(events, query, duration)
+            want = brute_force_time_series(events, query, duration)
+            if dependent == "count":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_update_and_columns_agree(self):
+        events = self._poisson_with_gaps(4, 200, 10.0)
+        query = CorrelatedQuery("count", "min", epsilon=1.0)
+        universe = [r.x for _, r in events]
+        scalar = TimeWindowOracle(query, universe, 10.0)
+        expected = [scalar.update(t, r) for t, r in events]
+        batched = TimeWindowOracle(query, universe, 10.0)
+        assert batched.update_columns(
+            [r.x for _, r in events], [r.y for _, r in events], times=[t for t, _ in events]
+        ) == expected
+        assert set(scalar.obs_state()) == {"indexed"}
+
+    def test_rejects_bad_scope_and_times(self):
+        query = CorrelatedQuery("count", "min", epsilon=1.0)
+        with pytest.raises(ConfigurationError):
+            TimeWindowOracle(CorrelatedQuery("count", "min", window=5), [1.0], 5.0)
+        with pytest.raises(ConfigurationError):
+            exact_time_series([(0.0, Record(1.0))], query, 0.0)
+        oracle = TimeWindowOracle(query, [1.0, 2.0], 5.0)
+        oracle.update(3.0, Record(1.0))
+        with pytest.raises(StreamError):
+            oracle.update(2.0, Record(2.0))

@@ -9,6 +9,7 @@ import pytest
 from repro.core.query import CorrelatedQuery
 from repro.core.sliding_extrema import SlidingExtremaEstimator
 from repro.core.landmark_extrema import LandmarkExtremaEstimator
+from repro.core.time_sliding import TimeSlidingEstimator
 from repro.exceptions import ConfigurationError
 from repro.obs.sink import RecordingSink
 from repro.obs.trace import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer
@@ -155,3 +156,62 @@ class TestKernelInstrumentation:
         batched = LandmarkExtremaEstimator(query, num_buckets=8, tracer=Tracer())
         expected = [scalar.update(r) for r in records]
         assert batched.update_many(records) == expected
+
+
+class TestTimeWindowInstrumentation:
+    """A time window runs the kernel's update, so it traces like one."""
+
+    def _timed(self, n=300, seed=5):
+        import random
+
+        rng = random.Random(seed)
+        clock = 0.0
+        rows = []
+        for i in range(n):
+            # bursts of simultaneous arrivals, and one gap past the window
+            clock += 60.0 if i == n // 2 else (0.0 if i % 5 else rng.uniform(0.0, 4.0))
+            rows.append((clock, Record(rng.uniform(1.0, 100.0), rng.uniform(0.0, 5.0))))
+        return rows
+
+    def _estimator(self, sink):
+        return TimeSlidingEstimator(
+            CorrelatedQuery("sum", "avg"), duration=25.0, num_buckets=8,
+            sink=sink, tracer=Tracer(sink),
+        )
+
+    def test_one_answer_span_per_tuple(self):
+        rows = self._timed()
+        scalar_sink = RecordingSink()
+        scalar = self._estimator(scalar_sink)
+        expected = [scalar.update(t, r) for t, r in rows]
+        batched_sink = RecordingSink()
+        batched = self._estimator(batched_sink)
+        got = batched.update_columns(
+            [r.x for _, r in rows], [r.y for _, r in rows],
+            collect="all", times=[t for t, _ in rows],
+        )
+        assert got == expected
+        for sink in (scalar_sink, batched_sink):
+            counters = sink.registry.as_dict()
+            assert counters["events.span.kernel.answer"] == len(rows)
+            assert "events.span.kernel.rebuild" in counters
+        lean_sink = RecordingSink()
+        lean = self._estimator(lean_sink)
+        lean.update_columns([r.x for _, r in rows], times=[t for t, _ in rows], collect="none")
+        assert "events.span.kernel.answer" not in lean_sink.registry.as_dict()
+
+    def test_one_expire_event_per_expired_row(self):
+        rows = self._timed()
+        sink = RecordingSink()
+        estimator = self._estimator(sink)
+        expired = 0
+        for i, (t, r) in enumerate(rows):
+            before = estimator.live_count
+            estimator.update(t, r)
+            expired += before + 1 - estimator.live_count
+        counters = sink.registry.as_dict()
+        assert expired > len(rows) // 2  # the gap empties a full window
+        assert counters["events.window.expire"] == expired
+        assert counters["window.expire.count"]["total"] == expired
+        sides = sum(v for k, v in counters.items() if k.startswith("window.expire.side."))
+        assert sides == expired

@@ -85,3 +85,21 @@ def test_family_reallocation_copy_is_flagged(tmp_path):
     problems = check_kernel_hooks.check(core)
     assert len(problems) == 1
     assert "_reallocate()" in problems[0]
+
+
+@pytest.mark.parametrize("hook", ["_estimate_warmup", "_reseed_from_window", "_population"])
+def test_family_window_store_copy_is_flagged(tmp_path, hook):
+    """A scope's warmup answer and rebuild read the kernel's ring: a family
+    that grows its own window store and these readers is flagged."""
+    family = (
+        "from repro.core.focused import FocusedEstimatorBase, RingWindowMixin\n"
+        "class Estimator(RingWindowMixin, FocusedEstimatorBase):\n"
+        "    def _forget(self, rows):\n"
+        "        pass\n"
+    )
+    core = _tree(tmp_path, family)
+    assert check_kernel_hooks.check(core) == []
+    (core / "estimator.py").write_text(family + f"    def {hook}(self):\n        return 0.0\n")
+    problems = check_kernel_hooks.check(core)
+    assert len(problems) == 1
+    assert f"{hook}()" in problems[0]

@@ -10,11 +10,13 @@ from __future__ import annotations
 import pickle
 import sys
 import types
+from collections import deque
 
 import pytest
 
 from repro.core.engine import build_estimator
 from repro.core.query import CorrelatedQuery
+from repro.core.time_sliding import TimeSlidingEstimator
 from repro.exceptions import StreamError
 from repro.keyed import GatedKeyedBank
 from repro.persistence import (
@@ -24,6 +26,7 @@ from repro.persistence import (
     loads_estimator,
     save_estimator,
 )
+from repro.streams.model import Record
 from tests.conftest import make_records
 
 QUERIES = {
@@ -72,6 +75,67 @@ class TestResumeEquivalence:
             bank.update(f"k{i % 3}", r)
         restored = loads_estimator(dumps_estimator(bank))
         assert restored.estimates() == bank.estimates()
+
+
+#: Time-window checkpoint stream: a warm-up, a gap longer than the
+#: duration, then a Poisson-spaced steady state.
+TIME_DURATION = 20.0
+TIME_QUERIES = {
+    "count-min": CorrelatedQuery("count", "min", epsilon=9.0),
+    "sum-avg": CorrelatedQuery("sum", "avg"),
+}
+
+
+def _timed_stream(rng):
+    times = [0.5 * i for i in range(60)]
+    times.append(times[-1] + 2.5 * TIME_DURATION)
+    clock = times[-1]
+    for gap in rng.exponential(0.4, size=300):
+        clock += float(gap)
+        times.append(clock)
+    xs = rng.lognormal(2.0, 0.7, size=len(times))
+    ys = rng.uniform(0.5, 3.0, size=len(times))
+    return list(zip(times, make_records(xs, ys)))
+
+
+def _time_estimator(query, method):
+    strategy, policy = method.split("-")
+    return TimeSlidingEstimator(
+        query, duration=TIME_DURATION, num_buckets=8, strategy=strategy, policy=policy
+    )
+
+
+class TestTimeWindowResume:
+    @pytest.mark.parametrize("method", ["piecemeal-uniform", "wholesale-quantile"])
+    @pytest.mark.parametrize("query_key", sorted(TIME_QUERIES))
+    def test_resume_is_bitwise_identical(self, rng, query_key, method):
+        """Saved during warm-up, right after a gap that empties the window,
+        and in steady state, a time window resumes bit for bit."""
+        query = TIME_QUERIES[query_key]
+        stream = _timed_stream(rng)
+        uninterrupted = _time_estimator(query, method)
+        reference = [uninterrupted.update(t, r) for t, r in stream]
+        for cut, phase in [(5, "warmup"), (61, "gap"), (250, "steady")]:
+            first = _time_estimator(query, method)
+            for t, r in stream[:cut]:
+                first.update(t, r)
+            if phase == "warmup":
+                assert first.histogram is None
+            elif phase == "gap":
+                assert first.live_count == 1 and first.histogram is not None
+            resumed = loads_estimator(dumps_estimator(first))
+            tail = [resumed.update(t, r) for t, r in stream[cut:]]
+            assert tail == reference[cut:], phase
+            assert resumed.obs_state() == uninterrupted.obs_state()
+            # The batched time path resumes identically too.
+            batched = loads_estimator(dumps_estimator(first))
+            rest = stream[cut:]
+            assert (
+                batched.update_columns(
+                    [r.x for _, r in rest], [r.y for _, r in rest], times=[t for t, _ in rest]
+                )
+                == reference[cut:]
+            )
 
 
 class TestFileRoundTrip:
@@ -146,6 +210,36 @@ class TestHeaderValidation:
         with pytest.raises(ModuleNotFoundError):
             pickle.loads(blob)
         with pytest.raises(StreamError, match="checkpoint format 2 is not supported"):
+            loads_estimator(blob)
+
+    def test_format_3_time_window_checkpoint_refused_by_its_format(self, rng):
+        # Format 3 pickled a time window as a deque of [time, record, side]
+        # cells plus a separate last-time field; format 4 keeps a
+        # ClockedRing.  Rebuild that layout from a live estimator, exactly
+        # as the format-3 library pickled it.
+        stream = _timed_stream(rng)[:40]
+        estimator = _time_estimator(TIME_QUERIES["sum-avg"], "piecemeal-uniform")
+        for t, r in stream:
+            estimator.update(t, r)
+        state = estimator.__dict__
+        ring = state.pop("_ring")
+        times = [t for t, _ in stream][-len(ring) :]
+        state["_live"] = deque(
+            [t, Record(x, y), side] for t, (x, y, side) in zip(times, ring)
+        )
+        state["_last_time"] = ring.now
+        state["_duration"] = ring.duration
+        state["_warmup_target"] = state["_m"]
+        state["_buffer"] = None
+        inner = pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(
+            {"magic": b"repro-checkpoint", "format": 3, "library": "0", "estimator": inner}
+        )
+        # Unpickled as-is, the old layout is an estimator with no window.
+        stale = pickle.loads(inner)
+        with pytest.raises(AttributeError, match="_ring"):
+            stale.update(100.0, Record(1.0))
+        with pytest.raises(StreamError, match="checkpoint format 3 is not supported"):
             loads_estimator(blob)
 
     def test_missing_estimator_payload_rejected(self):

@@ -14,9 +14,11 @@ syntax-tree rule:
    not define the kernel-owned machinery (``_init_kernel``,
    ``_build_histogram``, ``obs_state``, ``estimate_bounds``,
    ``update_many``, ``_after_add``, the columnar segment loop
-   ``_steady_columns``, the reallocation step ``_reallocate``): those are
-   the shared spine, and a private copy would drift from the parity
-   fixtures.  A family's reallocation is its regime test, restart and
+   ``_steady_columns``, the reallocation step ``_reallocate``, and the
+   window's warmup answer and from-window rebuild ``_estimate_warmup``,
+   ``_reseed_from_window``, ``_population``): those are the shared spine,
+   and a private copy would drift from the parity fixtures.  A scope's
+   window is the ring the kernel reads, never a private store.  A family's reallocation is its regime test, restart and
    spill hooks (``_regime_break``, ``_restart``, ``_spill``), never its
    own strategy dispatch.  A family's columnar kernel is its trace
    producer and routing hooks (``_column_trace``, ``_column_triggers``,
@@ -87,6 +89,9 @@ KERNEL_OWNED = (
     "_after_add",
     "_steady_columns",
     "_scatter_segment",
+    "_estimate_warmup",
+    "_reseed_from_window",
+    "_population",
 )
 
 #: Modules with no stake in the focused lifecycle (baselines, oracle,
